@@ -8,17 +8,23 @@ spheres in space only and differ in which arrival anchors the sphere; a
 match can never precede the later arrival, so anchored-at-the-earlier
 variants are clamped to it.
 
-The simulation keeps one event per admissible pair in a priority queue,
-skips events whose endpoints are already matched, and fires the rest in a
-deterministic order: by event time, then smaller later-arrival id, then
-smaller other id.  Event times within ``TIME_TIE_TOL`` of the queue head are
-treated as tied and ordered by the id key.
+A pair's firing time depends on that pair alone, so ``simulate`` computes
+every admissible pair's time at once as numpy arrays, sorts the events once
+by time, and scans the sorted list.  An event whose endpoint is already
+matched is stale and skipped.  At the first live event the scan gathers the
+tie cluster, every event no later than its time plus ``TIME_TIE_TOL``, and
+fires the live member with the smallest id key (later-arrival id, then
+earlier id); the other members stay in place for the next step.  Pairs thus
+fire in a deterministic order: by event time, with times within
+``TIME_TIE_TOL`` of the earliest live one ordered by the id key.  Memory is
+O(m^2): about 24 bytes per admissible pair plus the m-by-m distance matrix.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from mpmd.metric import (
     MetricSpace,
@@ -26,6 +32,8 @@ from mpmd.metric import (
     TimedPoint,
     augmented_distance,
     distance,
+    is_finite_real,
+    pairwise,
     validate_point,
 )
 
@@ -68,9 +76,10 @@ class Request:
 class Instance:
     """A metric space plus an ordered list of requests.
 
-    The request count must be even, ids unique, and every location valid for
-    the space.  Bipartite instances carry a color on every request with both
-    colors equally frequent; monochromatic instances carry no colors.
+    The request count must be even, ids unique, every time finite, and every
+    location a valid, finite point of the space.  Bipartite instances carry a
+    color on every request with both colors equally frequent; monochromatic
+    instances carry no colors.
     """
 
     space: MetricSpace
@@ -86,7 +95,12 @@ class Instance:
         if len(ids) % 2 != 0:
             raise ValueError("request count must be even")
         for r in self.requests:
-            validate_point(self.space, r.location)
+            if not is_finite_real(r.time):
+                raise ValueError(f"request {r.id} time: expected a finite number, got {r.time!r}")
+            try:
+                validate_point(self.space, r.location)
+            except ValueError as exc:
+                raise ValueError(f"request {r.id} location: {exc}") from None
             if self.bipartite and r.color is None:
                 raise ValueError(f"request {r.id} has no color on a bipartite instance")
             if not self.bipartite and r.color is not None:
@@ -166,15 +180,23 @@ def _pair_schedule(
         return None
     early, late = _ordered(a, b)
     gap = late.time - early.time
-    d = distance(space, a.location, b.location)
-    if policy.kind in (HEMISPHERE, HEMISPHERE_BIPARTITE):
-        wait = (d + gap) / policy.epsilon
-    elif policy.kind == NOTIME_LATE:
-        wait = d / policy.epsilon
-    else:
-        # Sphere anchored at the earlier arrival, clamped to the later one.
-        wait = max(0.0, d / policy.epsilon - gap)
+    wait = _wait(policy, distance(space, a.location, b.location), gap, max)
     return late.time + wait, gap + wait, wait
+
+
+def _wait(policy: Policy, d, gap, clamp):
+    """Time the later arrival waits before the pair fires: the firing rule.
+
+    d and gap are the pair's spatial distance and arrival gap, as floats or as
+    numpy arrays (with ``clamp`` = ``max`` or ``np.maximum``); either way the
+    same IEEE operations run, so array event times equal scalar ones exactly.
+    """
+    if policy.kind in (HEMISPHERE, HEMISPHERE_BIPARTITE):
+        return (d + gap) / policy.epsilon
+    if policy.kind == NOTIME_LATE:
+        return d / policy.epsilon
+    # Sphere anchored at the earlier arrival, clamped to the later one.
+    return clamp(0.0, d / policy.epsilon - gap)
 
 
 def event_time(policy: Policy, p: Request, q: Request, space: MetricSpace) -> float:
@@ -210,63 +232,90 @@ def _check_compatible(instance: Instance, policy: Policy) -> None:
         raise ValueError("bipartite policy requires a bipartite instance")
 
 
+def _sorted_events(
+    requests: list[Request], space: MetricSpace, policy: Policy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every admissible pair's event, sorted by event time.
+
+    ``requests`` is sorted by (time, id), so in each pair (i, j) with i < j
+    request i is the earlier arrival.  Returns the sorted event times, the
+    int32 positions of each event's earlier and later request, and each
+    position's rank in id order, which stands in for the id in the tie key.
+    """
+    m = len(requests)
+    rank = np.empty(m, dtype=np.int32)
+    rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
+    admissible = ~np.tri(m, dtype=bool)  # the upper triangle: i < j
+    if policy.kind == HEMISPHERE_BIPARTITE:
+        colors = np.array([r.color for r in requests], dtype=np.int8)
+        admissible &= colors[:, None] != colors[None, :]
+    early, late = np.nonzero(admissible)
+    del admissible
+    early, late = early.astype(np.int32), late.astype(np.int32)
+    d = pairwise(space, [r.location for r in requests])[early, late]
+    t = np.array([r.time for r in requests], dtype=float)
+    gap = t[late]
+    gap -= t[early]
+    times = _wait(policy, d, gap, np.maximum)
+    del d, gap
+    times += t[late]
+    # Events of exactly equal times always share a tie cluster, where the id
+    # key decides, so their relative order does not matter and an unstable
+    # float sort will do; it is several times faster than a stable sort or a
+    # lexsort that orders by the id key too.
+    order = np.argsort(times)
+    return times[order], early[order], late[order], rank
+
+
 def simulate(instance: Instance, policy: Policy) -> RunReport:
     """Run the policy over the instance and return the complete match report.
 
     A pure function of its arguments: repeated runs produce identical
     reports.  Records are emitted in firing order, which respects the
-    deterministic event order described in the module docstring.
+    deterministic event order described in the module docstring.  Each
+    record's times and costs come from the scalar firing rule of its pair.
     """
     _check_compatible(instance, policy)
+    space = instance.space
     requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
-    by_id = {r.id: r for r in requests}
     m = len(requests)
+    times, early, late, rank = _sorted_events(requests, space, policy)
+    n = len(times)
+    # Element reads through memoryviews are Python numbers, without the cost
+    # of numpy scalars or of a list copy of every event.
+    time_at, early_at, late_at = memoryview(times), memoryview(early), memoryview(late)
+    matched = bytearray(m)
+    matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
 
-    # One event per admissible unordered pair: (time, later id, earlier id).
-    events: list[tuple[float, int, int]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            schedule = _pair_schedule(policy, requests[i], requests[j], instance.space)
-            if schedule is None:
-                continue
-            early, late = _ordered(requests[i], requests[j])
-            events.append((schedule[0], late.id, early.id))
-    heapq.heapify(events)
-
-    matched: set[int] = set()
     records: list[MatchRecord] = []
+    head = 0
     while len(records) * 2 < m:
-        while events and (events[0][1] in matched or events[0][2] in matched):
-            heapq.heappop(events)
-        if not events:
+        while head < n and (matched[early_at[head]] or matched[late_at[head]]):
+            head += 1
+        if head == n:
             raise ValueError("no admissible pair left; perfect matching impossible")
-        # Collect the head cluster of near-tied events and pick by the id key.
-        head_time = events[0][0]
-        cluster: list[tuple[float, int, int]] = []
-        while events and events[0][0] <= head_time + TIME_TIE_TOL:
-            ev = heapq.heappop(events)
-            if ev[1] not in matched and ev[2] not in matched:
-                cluster.append(ev)
-        chosen = min(cluster, key=lambda ev: (ev[1], ev[2]))
-        late, early = by_id[chosen[1]], by_id[chosen[2]]
-        match_time, delay_early, delay_late = _pair_schedule(
-            policy, early, late, instance.space
-        )
+        chosen = head
+        limit = time_at[head] + TIME_TIE_TOL
+        if head + 1 < n and time_at[head + 1] <= limit:
+            # A tie cluster: fire its live member with the smallest id key.
+            end = int(np.searchsorted(times, limit, side="right"))
+            seg_early, seg_late = early[head:end], late[head:end]
+            live = np.flatnonzero((matched_np[seg_early] | matched_np[seg_late]) == 0)
+            key = rank[seg_late[live]].astype(np.int64) * m + rank[seg_early[live]]
+            chosen = head + int(live[np.argmin(key)])
+        a, b = requests[early_at[chosen]], requests[late_at[chosen]]
+        matched[early_at[chosen]] = matched[late_at[chosen]] = 1
+        match_time, delay_early, delay_late = _pair_schedule(policy, a, b, space)
         records.append(
             MatchRecord(
-                p=early.id,
-                q=late.id,
+                p=a.id,
+                q=b.id,
                 match_time=match_time,
-                connection=distance(instance.space, early.location, late.location),
+                connection=distance(space, a.location, b.location),
                 delay_p=delay_early,
                 delay_q=delay_late,
             )
         )
-        matched.add(early.id)
-        matched.add(late.id)
-        for ev in cluster:
-            if ev is not chosen and ev[1] not in matched and ev[2] not in matched:
-                heapq.heappush(events, ev)
 
     recs = tuple(records)
     return RunReport(

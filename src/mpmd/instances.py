@@ -31,6 +31,7 @@ from mpmd.metric import (
     LINE,
     MetricSpace,
     TimedPoint,
+    is_finite_real,
     validate_point,
 )
 
@@ -323,14 +324,18 @@ def instance_from_dict(data: dict) -> Instance:
             raise InstanceFormatError(f"{context}.id: duplicate id {rid}")
         seen_ids.add(rid)
         t = entry.get("t")
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise InstanceFormatError(f"{context}.t: expected a number")
+        if not is_finite_real(t):
+            raise InstanceFormatError(f"{context}.t: expected a finite number, got {t!r}")
         loc = entry.get("loc")
         if isinstance(loc, list):
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in loc):
-                raise InstanceFormatError(f"{context}.loc: coordinates must be numbers")
+            if not all(map(is_finite_real, loc)):
+                raise InstanceFormatError(
+                    f"{context}.loc: coordinates must be finite numbers, got {loc!r}"
+                )
             loc = tuple(float(x) for x in loc)
         elif isinstance(loc, (int, float)) and not isinstance(loc, bool):
+            if not is_finite_real(loc):
+                raise InstanceFormatError(f"{context}.loc: expected a finite number, got {loc!r}")
             loc = float(loc)
         elif not isinstance(loc, str):
             raise InstanceFormatError(f"{context}.loc: expected a number, array, or name")

@@ -5,14 +5,19 @@ space, and explicit finite metrics given by a distance matrix.  Points carry
 an arrival time alongside their location; the time-augmented distance adds
 the absolute time difference to the spatial distance and is itself a metric.
 
-All values are double-precision reals and comparisons here are exact; any
-tolerance handling belongs to the simulation layer, where events are ordered.
+All values are finite double-precision reals and comparisons here are exact;
+any tolerance handling belongs to the simulation layer, where events are
+ordered.  ``pairwise`` tabulates many distances at once and agrees with
+``distance`` bit for bit, so callers may use either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 Point = float | tuple[float, ...] | str
 
@@ -111,6 +116,10 @@ class MetricSpace:
                 f"matrix size {len(matrix)} does not match {len(names)} point names"
             )
         rows = tuple(tuple(float(x) for x in row) for row in matrix)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if not math.isfinite(x):
+                    raise ValueError(f"matrix[{i}][{j}] must be a finite number, got {x!r}")
         violation = validate_metric(rows)
         if violation is not None:
             raise ValueError(f"invalid finite metric: {violation}")
@@ -131,16 +140,28 @@ class TimedPoint:
     time: float
 
 
+def is_finite_real(x) -> bool:
+    """True for a real number, other than a bool, that is a finite double."""
+    if isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def validate_point(space: MetricSpace, p: Point) -> None:
     """Raise ValueError when p is not a valid point of the given space."""
     if space.kind == LINE:
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ValueError(f"line point must be a real number, got {p!r}")
+        if not is_finite_real(p):
+            raise ValueError(f"line point must be a finite real number, got {p!r}")
     elif space.kind == EUCLIDEAN:
         if not isinstance(p, (tuple, list)) or len(p) != space.dim:
             raise ValueError(
                 f"euclidean point must have {space.dim} coordinates, got {p!r}"
             )
+        if not all(map(is_finite_real, p)):
+            raise ValueError(f"euclidean coordinates must be finite real numbers, got {p!r}")
     elif space.kind == FINITE:
         if p not in space.points:
             raise ValueError(f"unknown point name {p!r}")
@@ -160,6 +181,46 @@ def distance(space: MetricSpace, a: Point, b: Point) -> float:
         return math.dist(a, b)
     if space.kind == FINITE:
         return space.matrix[space.index(a)][space.index(b)]
+    raise ValueError(f"unknown metric kind {space.kind!r}")
+
+
+def pairwise(space: MetricSpace, a, b=None) -> np.ndarray:
+    """Matrix of spatial distances from every point in a to every one in b.
+
+    a and b are sequences of points of the space.  Entry [i, j] equals
+    ``distance(space, a[i], b[j])`` bit for bit.  Without b the matrix is the
+    symmetric one of a against itself.  Euclidean entries
+    come from ``math.dist`` itself: numpy's square root of a sum of squares,
+    and ``np.hypot``, differ from it in the last bit on some pairs.
+    """
+    square = b is None
+    if square:
+        b = a
+    if space.kind == LINE:
+        x = np.array(a, dtype=float)
+        y = x if square else np.array(b, dtype=float)
+        out = x[:, None] - y[None, :]
+        return np.abs(out, out=out)
+    if space.kind == EUCLIDEAN:
+        if not square:
+            out = np.empty((len(a), len(b)))
+            for i, p in enumerate(a):
+                out[i] = list(map(math.dist, repeat(p), b))
+            return out
+        # math.dist is symmetric bit for bit: fill the upper triangle, mirror it.
+        out = np.zeros((len(a), len(a)))
+        for i, p in enumerate(a):
+            out[i, i + 1 :] = list(map(math.dist, repeat(p), a[i + 1 :]))
+            out[i + 1 :, i] = out[i, i + 1 :]
+        return out
+    if space.kind == FINITE:
+        index = {name: k for k, name in enumerate(space.points)}
+        try:
+            rows = [index[p] for p in a]
+            cols = rows if square else [index[q] for q in b]
+        except KeyError as exc:
+            raise ValueError(f"unknown point name {exc.args[0]!r}") from None
+        return np.array(space.matrix)[np.ix_(rows, cols)]
     raise ValueError(f"unknown metric kind {space.kind!r}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from mpmd.engine import Instance, RunReport, simulate
-from mpmd.metric import augmented_distance, distance
+from mpmd.metric import MetricSpace, augmented_distance, distance, pairwise
 
 GENERAL_OPT_MAX = 20
 BRUTE_FORCE_MAX = 10
@@ -81,15 +81,22 @@ class CycleDecomposition:
     cycles: tuple[Cycle, ...]
 
 
-def _augmented_matrix(instance: Instance, requests) -> list[list[float]]:
-    pts = [r.point for r in requests]
-    n = len(pts)
-    w = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = augmented_distance(instance.space, pts[i], pts[j])
-            w[i][j] = d
-            w[j][i] = d
+def _augmented_matrix(space: MetricSpace, rows, cols=None) -> np.ndarray:
+    """Time-augmented distances between two request lists (cols defaults to rows).
+
+    Each entry is the spatial distance plus the absolute time difference, the
+    operations of ``augmented_distance`` in its order, so the two agree bit
+    for bit.
+    """
+    same = cols is None
+    if same:
+        cols = rows
+    w = pairwise(
+        space, [r.location for r in rows], None if same else [r.location for r in cols]
+    )
+    t_rows = np.array([r.time for r in rows], dtype=float)
+    t_cols = t_rows if same else np.array([r.time for r in cols], dtype=float)
+    w += np.abs(t_rows[:, None] - t_cols[None, :])
     return w
 
 
@@ -109,7 +116,7 @@ def opt_general(instance: Instance) -> Matching:
         )
     if m == 0:
         return Matching(pairs=(), weight=0.0)
-    w = _augmented_matrix(instance, requests)
+    w = _augmented_matrix(instance.space, requests).tolist()
 
     size = 1 << m
     inf = math.inf
@@ -160,12 +167,7 @@ def opt_bipartite(instance: Instance) -> Matching:
         raise ValueError("bipartite colors are imbalanced")
     if not zeros:
         return Matching(pairs=(), weight=0.0)
-    cost = np.array(
-        [
-            [augmented_distance(instance.space, a.point, b.point) for b in ones]
-            for a in zeros
-        ]
-    )
+    cost = _augmented_matrix(instance.space, zeros, ones)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(zeros[i].id, ones[j].id) for i, j in zip(rows, cols)]
     return Matching.from_pairs(pairs, instance)
@@ -188,7 +190,7 @@ def brute_force_opt(instance: Instance) -> Matching:
         raise ValueError("request count must be even")
     if m == 0:
         return Matching(pairs=(), weight=0.0)
-    w = _augmented_matrix(instance, requests)
+    w = _augmented_matrix(instance.space, requests).tolist()
     colors = [r.color for r in requests]
     check_colors = instance.bipartite
 

@@ -11,6 +11,7 @@ from mpmd.engine import (
     NOTIME_EARLY,
     NOTIME_LATE,
     NOTIME_MIN,
+    POLICY_KINDS,
     Instance,
     MatchRecord,
     Policy,
@@ -27,7 +28,8 @@ from mpmd.instances import (
     gen_random,
     gen_two_point_rows,
 )
-from mpmd.metric import MetricSpace, TimedPoint, augmented_distance
+from mpmd.engine import _pair_schedule, _sorted_events
+from mpmd.metric import MetricSpace, TimedPoint, augmented_distance, distance
 
 LINE = MetricSpace.line()
 
@@ -132,6 +134,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="carries a color"):
             Instance(LINE, (req(1, 0.0, 0.0, 0), req(2, 1.0, 0.0, 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_or_location(self, bad):
+        with pytest.raises(ValueError, match="request 2 time: expected a finite"):
+            Instance(LINE, (req(1, 0.0, 0.0), req(2, 1.0, bad)))
+        with pytest.raises(ValueError, match="request 2 location: line point must be a finite real number"):
+            Instance(LINE, (req(1, 0.0, 0.0), req(2, bad, 0.0)))
+        with pytest.raises(ValueError, match="request 1 location: euclidean coordinates"):
+            Instance(MetricSpace.euclidean(2), (req(1, (bad, 0.0), 0.0), req(2, (0.0, 0.0), 0.0)))
+
     def test_bipartite_policy_needs_bipartite_instance(self):
         inst = Instance(LINE, (req(1, 0.0, 0.0), req(2, 1.0, 0.0)))
         with pytest.raises(ValueError, match="bipartite"):
@@ -196,10 +207,11 @@ class TestSimulate:
 
 
 def reference_simulate(instance, policy):
-    """Heap-free reference: rescan every live pair at each step.
+    """Scalar reference: rescan every live pair at each step.
 
-    Same firing rule and tie order as the engine, written independently so
-    the event-queue bookkeeping (lazy deletion, tie clusters) has an oracle.
+    Same firing rule and tie order as the engine, written independently of
+    its sorted event arrays, so the engine's bookkeeping (stale events, tie
+    clusters found by searching the sorted times) has an oracle.
     """
     live = sorted(instance.requests, key=lambda r: (r.time, r.id))
     pairs = []
@@ -218,6 +230,113 @@ def reference_simulate(instance, policy):
         pairs.append((min(early_id, late_id), max(early_id, late_id)))
         live = [r for r in live if r.id not in (early_id, late_id)]
     return pairs
+
+
+def _kinds(instance):
+    return [k for k in POLICY_KINDS if instance.bipartite or k != HEMISPHERE_BIPARTITE]
+
+
+def _lattice_instance(seed):
+    """Small instance on integer lattices, dense in exact and near ties.
+
+    Times are multiples of a step that is either 1 or half of TIME_TIE_TOL, so
+    tie clusters have several members and some events sit at or just past
+    the head + TIME_TIE_TOL boundary.
+    """
+    import random
+
+    rng = random.Random(seed)
+    m = 2 * rng.randint(1, 8)
+    step = rng.choice([1.0, 5e-10])
+    kind = rng.choice(["line", "finite"])
+    if kind == "line":
+        space = MetricSpace.line()
+        locations = [float(rng.randint(0, 3)) for _ in range(m)]
+    else:
+        # Entries in {1, 2} always satisfy the triangle inequality.
+        n = 3
+        matrix = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = float(rng.randint(1, 2))
+        names = [f"p{i}" for i in range(n)]
+        space = MetricSpace.finite(names, matrix)
+        locations = [rng.choice(names) for _ in range(m)]
+    bipartite = rng.random() < 0.5
+    colors = [None] * m
+    if bipartite:
+        colors = [0] * (m // 2) + [1] * (m // 2)
+        rng.shuffle(colors)
+    ids = rng.sample(range(1, 100), m)
+    requests = tuple(
+        req(ids[i], locations[i], step * rng.randint(0, 4), colors[i]) for i in range(m)
+    )
+    return Instance(space, requests, bipartite=bipartite)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tie_dense_lattice_agrees_with_rescan_reference(seed):
+    inst = _lattice_instance(seed)
+    for kind in _kinds(inst):
+        for eps in (0.5, 1.0, 2.0):
+            policy = Policy(kind, eps)
+            engine_pairs = [
+                (min(r.p, r.q), max(r.p, r.q)) for r in simulate(inst, policy).records
+            ]
+            assert engine_pairs == reference_simulate(inst, policy)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("eta", [0.0, 1e-6])
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
+    inst = gen_lower_bound(LowerBoundParams(k=k, epsilon=1.0, eta=eta), bipartite=bipartite)
+    for kind in _kinds(inst):
+        policy = Policy(kind, 1.0)
+        engine_pairs = [
+            (min(r.p, r.q), max(r.p, r.q)) for r in simulate(inst, policy).records
+        ]
+        assert engine_pairs == reference_simulate(inst, policy)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sorted_events_equal_scalar_firing_rule(seed):
+    # Event times are compared with ==.  Only the times need to be sorted:
+    # events of equal time always share a tie cluster.
+    inst = _lattice_instance(seed) if seed % 2 else gen_random(
+        14, seed, metric=["line", "euclidean", "finite"][seed % 3], bipartite=True
+    )
+    requests = sorted(inst.requests, key=lambda r: (r.time, r.id))
+    for kind in _kinds(inst):
+        policy = Policy(kind, 0.7)
+        times, early, late, _ = _sorted_events(requests, inst.space, policy)
+        got = [
+            (t, requests[j].id, requests[i].id)
+            for t, i, j in zip(times.tolist(), early.tolist(), late.tolist())
+        ]
+        expected = sorted(
+            (event_time(policy, a, b, inst.space), b.id, a.id)
+            for i, a in enumerate(requests)
+            for b in requests[i + 1 :]
+            if event_time(policy, a, b, inst.space) != math.inf
+        )
+        assert times.tolist() == sorted(times.tolist())
+        assert sorted(got) == expected
+
+
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_records_equal_scalar_schedule(metric):
+    inst = gen_random(40, 3, metric=metric, bipartite=True)
+    by_id = {r.id: r for r in inst.requests}
+    for kind in _kinds(inst):
+        policy = Policy(kind, 0.3)
+        for rec in simulate(inst, policy).records:
+            p, q = by_id[rec.p], by_id[rec.q]
+            match_time, delay_p, delay_q = _pair_schedule(policy, p, q, inst.space)
+            assert rec.match_time == match_time
+            assert rec.delay_p == delay_p
+            assert rec.delay_q == delay_q
+            assert rec.connection == distance(inst.space, p.location, q.location)
 
 
 random_runs = st.tuples(

@@ -1,6 +1,7 @@
 """Instance families, the gap recurrence, random generation, and file I/O."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +314,50 @@ class TestFileFormat:
         data = self.base()
         data["requests"][0]["loc"] = "A"
         with pytest.raises(InstanceFormatError, match="requests\\[0\\]"):
+            load_instance(self._write(tmp_path, data))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_names_the_field(self, tmp_path, bad):
+        path = self._write(tmp_path, self.base())
+        text = path.read_text(encoding="utf-8").replace('"t": 1.0', f'"t": {bad}')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=r"requests\[1\]\.t: expected a finite"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_line_location_names_the_field(self, tmp_path, bad):
+        path = self._write(tmp_path, self.base())
+        text = path.read_text(encoding="utf-8").replace('"loc": 2.5', f'"loc": {bad}')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=r"requests\[1\]\.loc: expected a finite"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_names_the_field(self, tmp_path, bad):
+        data = {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "bipartite": False,
+            "requests": [
+                {"id": 1, "t": 0.0, "loc": [0.0, 1.0]},
+                {"id": 2, "t": 1.0, "loc": [bad, 5.0]},
+            ],
+        }
+        with pytest.raises(
+            InstanceFormatError, match=r"requests\[1\]\.loc: coordinates must be finite"
+        ):
+            load_instance(self._write(tmp_path, data))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_entry_names_the_entry(self, tmp_path, bad):
+        data = self.base()
+        data["metric"] = {
+            "kind": "finite",
+            "points": ["A", "B"],
+            "matrix": [[0.0, bad], [bad, 0.0]],
+        }
+        data["requests"][0]["loc"] = "A"
+        data["requests"][1]["loc"] = "B"
+        with pytest.raises(InstanceFormatError, match=r"metric: matrix\[0\]\[1\] must be a finite number"):
             load_instance(self._write(tmp_path, data))
 
     def test_euclidean_locations(self, tmp_path):

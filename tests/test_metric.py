@@ -10,7 +10,9 @@ from mpmd.metric import (
     TimedPoint,
     augmented_distance,
     distance,
+    pairwise,
     validate_metric,
+    validate_point,
 )
 
 finite_ab = MetricSpace.finite(["A", "B"], [[0.0, 2.1], [2.1, 0.0]])
@@ -89,6 +91,20 @@ def test_validate_metric_rejects_non_square():
         validate_metric([[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finite_factory_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=r"matrix\[0\]\[1\] must be a finite number"):
+        MetricSpace.finite(["A", "B"], [[0.0, bad], [bad, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        validate_point(MetricSpace.line(), bad)
+    with pytest.raises(ValueError, match="finite"):
+        validate_point(MetricSpace.euclidean(2), (0.0, bad))
+
+
 def test_finite_factory_rejects_invalid():
     with pytest.raises(ValueError, match="invalid finite metric"):
         MetricSpace.finite(["A", "B"], [[0.0, 1.0], [2.0, 0.0]])
@@ -145,3 +161,52 @@ def test_tabulated_euclidean_matrices_validate(seed):
     pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
     matrix = [[math.dist(p, q) for q in pts] for p in pts]
     assert validate_metric(matrix) is None
+
+
+def _random_locations(kind: str, n: int, rng) -> list:
+    if kind == "line":
+        return [rng.uniform(-100, 100) for _ in range(n)]
+    if kind.startswith("euclidean"):
+        dim = int(kind[-1])
+        return [tuple(rng.uniform(-100, 100) for _ in range(dim)) for _ in range(n)]
+    return [rng.choice(["p0", "p1", "p2", "p3", "p4"]) for _ in range(n)]
+
+
+def _space(kind: str, rng) -> MetricSpace:
+    if kind == "line":
+        return MetricSpace.line()
+    if kind.startswith("euclidean"):
+        return MetricSpace.euclidean(int(kind[-1]))
+    anchors = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(5)]
+    matrix = [[math.dist(p, q) for q in anchors] for p in anchors]
+    return MetricSpace.finite([f"p{i}" for i in range(5)], matrix)
+
+
+@pytest.mark.parametrize("kind", ["line", "euclidean2", "euclidean3", "finite"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pairwise_is_bit_equal_to_distance(kind, seed):
+    # Compared with ==: sqrt of a sum of squares or np.hypot would differ from
+    # math.dist in the last bit on a share of these pairs.
+    import random
+
+    rng = random.Random(seed)
+    space = _space(kind, rng)
+    a = _random_locations(kind, 60, rng)
+    b = _random_locations(kind, 25, rng)
+    square = pairwise(space, a)
+    assert square.shape == (60, 60)
+    for i, p in enumerate(a):
+        for j, q in enumerate(a):
+            assert square[i, j] == distance(space, p, q)
+    rect = pairwise(space, a, b)
+    assert rect.shape == (60, 25)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            assert rect[i, j] == distance(space, p, q)
+
+
+def test_pairwise_empty_and_unknown_name():
+    assert pairwise(MetricSpace.euclidean(2), []).shape == (0, 0)
+    assert pairwise(MetricSpace.line(), [], [1.0]).shape == (0, 1)
+    with pytest.raises(ValueError, match="unknown point name 'C'"):
+        pairwise(finite_ab, ["A", "C"])

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, Instance, Policy, Request, simulate
 from mpmd.instances import LowerBoundParams, gen_lower_bound, gen_random
-from mpmd.metric import MetricSpace, TimedPoint
+from mpmd.metric import MetricSpace, TimedPoint, augmented_distance
 from mpmd.oracle import (
+    _augmented_matrix,
     Matching,
     brute_force_opt,
     cycle_decompose,
@@ -22,6 +23,22 @@ LINE = MetricSpace.line()
 
 def req(rid, loc, t, color=None):
     return Request(id=rid, point=TimedPoint(loc, t), color=color)
+
+
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_augmented_matrix_is_bit_equal_to_augmented_distance(metric):
+    inst = gen_random(30, 11, metric=metric, bipartite=True)
+    reqs = sorted(inst.requests, key=lambda r: r.id)
+    zeros = [r for r in reqs if r.color == 0]
+    ones = [r for r in reqs if r.color == 1]
+    for rows, cols, w in (
+        (reqs, reqs, _augmented_matrix(inst.space, reqs)),
+        (zeros, ones, _augmented_matrix(inst.space, zeros, ones)),
+    ):
+        assert w.shape == (len(rows), len(cols))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                assert w[i, j] == augmented_distance(inst.space, a.point, b.point)
 
 
 class TestOptGeneral:
