@@ -5,11 +5,13 @@ of a minimum-cost perfect matching of the requests as points of the
 time-augmented metric: realizing any matching online by pairing each couple
 the moment both endpoints have arrived costs exactly its augmented weight.
 
-The general solver is a subset dynamic program over request bitmasks (the
-lowest-indexed unmatched request is paired against every candidate), guarded
-at 20 requests.  The bipartite solver reduces to the assignment problem.  A
-brute-force enumerator over all (m-1)!! matchings serves as an independent
-cross-check for small m.
+The general solver is a dynamic program over request sets that pairs the
+lowest-indexed unmatched request against every candidate.  It solves only
+the sets reachable from the full set under that rule, Fibonacci(m+1) of them
+(10,946 at m=20, against 2**19 even-sized subsets), in O(m * F(m+1)) steps,
+and stays guarded at 20 requests.  The bipartite solver reduces to the
+assignment problem.  A brute-force enumerator over all (m-1)!! matchings
+serves as an independent cross-check for small m.
 """
 
 from __future__ import annotations
@@ -103,8 +105,12 @@ def _augmented_matrix(space: MetricSpace, rows, cols=None) -> np.ndarray:
 def opt_general(instance: Instance) -> Matching:
     """Minimum-weight perfect matching over all pairings, by subset DP.
 
-    Ties between optimal matchings resolve to the lexicographically smallest
-    pair list.  Guarded at GENERAL_OPT_MAX requests.
+    The lowest request of a set is paired with each other member in turn, so
+    the full set of m requests reaches only Fibonacci(m+1) sets (10,946 at
+    m=20).  These are listed layer by layer from the full set and solved from
+    the smallest up, O(m * F(m+1)) work in all.  Ties between optimal
+    matchings resolve to the lexicographically smallest pair list.  Guarded
+    at GENERAL_OPT_MAX requests.
     """
     requests = sorted(instance.requests, key=lambda r: r.id)
     m = len(requests)
@@ -118,37 +124,50 @@ def opt_general(instance: Instance) -> Matching:
         return Matching(pairs=(), weight=0.0)
     w = _augmented_matrix(instance.space, requests).tolist()
 
-    size = 1 << m
+    # Layer k holds the sets left after k pairs were taken from the full set,
+    # each time the lowest member with one other; the last layer is {0}.
+    full = (1 << m) - 1
+    layers = [{full}]
+    for _ in range(m // 2):
+        children = set()
+        for mask in layers[-1]:
+            low = mask & -mask
+            rest = mask ^ low
+            r = rest
+            while r:
+                jbit = r & -r
+                children.add(rest ^ jbit)
+                r ^= jbit
+        layers.append(children)
+
     inf = math.inf
-    dp = [inf] * size
-    dp[0] = 0.0
-    choice = [-1] * size
+    dp = {0: 0.0}
+    choice = {}
     # dp[mask] = optimal weight matching exactly the requests in mask; the
     # lowest set bit is always paired, and scanning partners in ascending
     # order with a strict improvement keeps the lexicographically smallest
-    # optimal pair list.
-    for mask in range(3, size):
-        if mask.bit_count() % 2 != 0:
-            continue
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        w_low = w[low]
-        best = inf
-        best_j = -1
-        r = rest
-        while r:
-            jbit = r & -r
-            j = jbit.bit_length() - 1
-            cand = dp[rest ^ jbit] + w_low[j]
-            if cand < best:
-                best = cand
-                best_j = j
-            r ^= jbit
-        dp[mask] = best
-        choice[mask] = best_j
+    # optimal pair list.  Smaller sets are solved first.
+    for layer in reversed(layers[:-1]):
+        for mask in layer:
+            low = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << low)
+            w_low = w[low]
+            best = inf
+            best_j = -1
+            r = rest
+            while r:
+                jbit = r & -r
+                j = jbit.bit_length() - 1
+                cand = dp[rest ^ jbit] + w_low[j]
+                if cand < best:
+                    best = cand
+                    best_j = j
+                r ^= jbit
+            dp[mask] = best
+            choice[mask] = best_j
 
     pairs = []
-    mask = size - 1
+    mask = full
     while mask:
         low = (mask & -mask).bit_length() - 1
         j = choice[mask]

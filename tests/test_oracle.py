@@ -1,5 +1,9 @@
 """Offline optima, brute-force cross checks, cycles, and the restriction property."""
 
+import gc
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +69,169 @@ class TestOptGeneral:
         inst = Instance(LINE, tuple(req(i, 0.0, 0.0) for i in (1, 2, 3, 4)))
         assert opt_general(inst).pairs == ((1, 2), (3, 4))
         assert brute_force_opt(inst).pairs == ((1, 2), (3, 4))
+
+
+def reference_opt_general(instance):
+    """Full-table subset DP over all 2**m request masks; test-only reference.
+
+    Same recurrence and scan order as ``opt_general`` (lowest set bit paired
+    with each other member in ascending order, strict improvement only), but
+    it fills every even-sized mask bottom-up instead of the sets reachable
+    from the full set, so it checks that restriction independently.
+    """
+    requests = sorted(instance.requests, key=lambda r: r.id)
+    m = len(requests)
+    if m == 0:
+        return Matching(pairs=(), weight=0.0)
+    w = _augmented_matrix(instance.space, requests).tolist()
+    size = 1 << m
+    dp = [math.inf] * size
+    dp[0] = 0.0
+    choice = [-1] * size
+    for mask in range(3, size):
+        if mask.bit_count() % 2 != 0:
+            continue
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        best = math.inf
+        best_j = -1
+        r = rest
+        while r:
+            jbit = r & -r
+            j = jbit.bit_length() - 1
+            cand = dp[rest ^ jbit] + w[low][j]
+            if cand < best:
+                best = cand
+                best_j = j
+            r ^= jbit
+        dp[mask] = best
+        choice[mask] = best_j
+    pairs = []
+    mask = size - 1
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        j = choice[mask]
+        pairs.append((requests[low].id, requests[j].id))
+        mask ^= (1 << low) | (1 << j)
+    return Matching.from_pairs(pairs, instance)
+
+
+def _tie_dense_instance(kind, m, seed):
+    """Instance whose augmented distances are small integers, so many
+    matchings share the optimal weight and the tie rule decides the pairs."""
+    rng = random.Random(seed)
+    if kind == "identical":
+        return Instance(LINE, tuple(req(i + 1, 2.0, 1.0) for i in range(m)))
+    if kind == "lattice":
+        return Instance(
+            LINE,
+            tuple(
+                req(i + 1, float(rng.randint(0, 3)), float(rng.randint(0, 3)))
+                for i in range(m)
+            ),
+        )
+    # Entries in {1, 2} always satisfy the triangle inequality.
+    n = 4
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = float(rng.randint(1, 2))
+    names = [f"p{i}" for i in range(n)]
+    space = MetricSpace.finite(names, matrix)
+    return Instance(
+        space,
+        tuple(
+            req(i + 1, rng.choice(names), float(rng.randint(0, 2))) for i in range(m)
+        ),
+    )
+
+
+def _assert_matches_reference(inst):
+    got = opt_general(inst)
+    want = reference_opt_general(inst)
+    assert got.pairs == want.pairs
+    assert got.weight == want.weight
+
+
+class TestOptGeneralMatchesFullTable:
+    @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+    @pytest.mark.parametrize("m", [12, 14, 16])
+    def test_random(self, m, metric):
+        for seed in range(2):
+            inst = gen_random(m, 100 * m + seed, metric=metric)
+            _assert_matches_reference(inst)
+
+    def test_random_m18(self):
+        inst = gen_random(18, 7, metric="euclidean")
+        _assert_matches_reference(inst)
+
+    @pytest.mark.parametrize("kind", ["identical", "lattice", "finite12"])
+    @pytest.mark.parametrize("m", [8, 12, 14])
+    def test_tie_dense(self, kind, m):
+        for seed in range(3):
+            inst = _tie_dense_instance(kind, m, seed)
+            _assert_matches_reference(inst)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("eta", [0.0, 1e-6])
+    def test_cascade(self, k, eta):
+        inst = gen_lower_bound(LowerBoundParams(k=k, epsilon=1.0, eta=eta))
+        _assert_matches_reference(inst)
+
+
+def test_opt_general_leaves_no_garbage_cycles():
+    # A solver that keeps its tables alive through a reference cycle (a
+    # self-referencing memoised closure, say) holds them until the cyclic
+    # collector runs, which raises peak memory.
+    inst = gen_random(12, 3, metric="euclidean")
+    opt_general(inst)
+    gc.collect()
+    gc.disable()
+    try:
+        opt_general(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=1, max_value=5).map(lambda h: 2 * h),
+    metric=st.sampled_from(["line", "euclidean", "finite"]),
+    bipartite=st.booleans(),
+    gaps=st.lists(st.integers(min_value=1, max_value=50), min_size=10, max_size=10),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_oracles_commute_with_relabel_and_request_order(
+    seed, m, metric, bipartite, gaps, order
+):
+    inst = gen_random(m, seed, metric=metric, bipartite=bipartite)
+    ids = sorted(r.id for r in inst.requests)
+    # Strictly increasing new ids: each is the previous plus a positive gap.
+    new_id = {}
+    last = -1
+    for rid, gap in zip(ids, gaps):
+        last += gap
+        new_id[rid] = last
+    relabelled = Instance(
+        inst.space,
+        tuple(
+            Request(id=new_id[r.id], point=r.point, color=r.color) for r in inst.requests
+        ),
+        bipartite=bipartite,
+    )
+    shuffled_requests = list(inst.requests)
+    order.shuffle(shuffled_requests)
+    shuffled = Instance(inst.space, tuple(shuffled_requests), bipartite=bipartite)
+    for oracle in (opt_general, brute_force_opt):
+        base = oracle(inst)
+        moved = oracle(relabelled)
+        assert moved.pairs == tuple((new_id[p], new_id[q]) for p, q in base.pairs)
+        assert moved.weight == base.weight
+        reordered = oracle(shuffled)
+        assert reordered.pairs == base.pairs
+        assert reordered.weight == base.weight
 
 
 class TestOptBipartite:
