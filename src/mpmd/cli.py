@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -278,18 +279,38 @@ def bound_cmd(m: int, epsilon: float) -> None:
     click.echo(json.dumps({"m": m, "epsilon": epsilon, "bound_2_over_f": value}))
 
 
+def _parse_eps_list(ctx, param, value: str) -> tuple[float, ...]:
+    """Comma-separated epsilons, each a finite number > 0, at least one."""
+    tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+    if not tokens:
+        raise click.BadParameter("needs at least one epsilon")
+    for tok in tokens:
+        try:
+            eps = float(tok)
+        except ValueError:
+            eps = math.nan
+        if not (math.isfinite(eps) and eps > 0):
+            raise click.BadParameter(f"{tok!r} is not a finite number > 0")
+    return tuple(float(tok) for tok in tokens)
+
+
 @main.command("verify")
-@click.option("--count", type=int, default=200, show_default=True,
+@click.option("--count", type=click.IntRange(min=0), default=200, show_default=True,
               help="Number of seeded random instances.")
-@click.option("--max-m", type=int, default=12, show_default=True)
-@click.option("--eps", default="0.1,0.5,1,2", show_default=True,
-              help="Comma-separated epsilon values.")
+@click.option("--max-m", type=click.IntRange(min=2), default=12, show_default=True)
+@click.option("--eps", "eps_list", default="0.1,0.5,1,2", show_default=True,
+              callback=_parse_eps_list, help="Comma-separated epsilon values.")
 @click.option("--seed", type=int, default=20240, show_default=True)
 @click.option("--skip-families", is_flag=True, default=False,
               help="Check random instances only.")
-def verify_cmd(count: int, max_m: int, eps: str, seed: int, skip_families: bool) -> None:
+def verify_cmd(
+    count: int, max_m: int, eps_list: tuple[float, ...], seed: int, skip_families: bool
+) -> None:
     """Run the full cross-module invariant suite; nonzero exit on any failure."""
-    eps_list = tuple(float(tok) for tok in eps.split(",") if tok.strip())
+    if count == 0 and skip_families:
+        raise click.BadParameter(
+            "must be at least 1 with --skip-families", param_hint="'--count'"
+        )
     results = run_verify(
         count=count,
         max_m=max_m,

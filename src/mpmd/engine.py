@@ -11,13 +11,15 @@ variants are clamped to it.
 A pair's firing time depends on that pair alone, so ``simulate`` computes
 every admissible pair's time at once as numpy arrays, sorts the events once
 by time, and scans the sorted list.  An event whose endpoint is already
-matched is stale and skipped.  At the first live event the scan gathers the
-tie cluster, every event no later than its time plus ``TIME_TIE_TOL``, and
-fires the live member with the smallest id key (later-arrival id, then
-earlier id); the other members stay in place for the next step.  Pairs thus
-fire in a deterministic order: by event time, with times within
-``TIME_TIE_TOL`` of the earliest live one ordered by the id key.  Memory is
-O(m^2): about 24 bytes per admissible pair plus the m-by-m distance matrix.
+matched is stale and skipped: up to ``SCALAR_SKIP`` of them one by one, then
+in windows of doubling width, each tested at once with numpy, until a window
+holds a live event.  At the first live event the scan gathers the tie
+cluster, every event no later than its time plus ``TIME_TIE_TOL``, and fires
+the live member with the smallest id key (later-arrival id, then earlier id);
+the other members stay in place for the next step.  Pairs thus fire in a
+deterministic order: by event time, with times within ``TIME_TIE_TOL`` of the
+earliest live one ordered by the id key.  Memory is O(m^2): about 24 bytes
+per admissible pair plus the m-by-m distance matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 
 # Absolute tolerance under which two event times are considered tied.
 TIME_TIE_TOL = 1e-9
+
+# Stale events the scan skips one at a time before it tests whole windows.
+SCALAR_SKIP = 32
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,8 @@ class Policy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
+        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,25 @@ def _sorted_events(
     return times[order], early[order], late[order], rank
 
 
+def _next_live(early, late, matched_np, head: int) -> int:
+    """Position of the first live event at or after head, or the event count.
+
+    Tests windows [head, head + w) of the sorted events, doubling w, so a
+    long run of stale events costs a few numpy calls rather than a Python
+    step each, and at most about twice the run's length in array work.
+    """
+    n = len(early)
+    width = SCALAR_SKIP
+    while head < n:
+        stop = head + width
+        live = np.flatnonzero((matched_np[early[head:stop]] | matched_np[late[head:stop]]) == 0)
+        if live.size:
+            return head + int(live[0])
+        head = stop
+        width *= 2
+    return n
+
+
 def simulate(instance: Instance, policy: Policy) -> RunReport:
     """Run the policy over the instance and return the complete match report.
 
@@ -290,8 +314,11 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
     records: list[MatchRecord] = []
     head = 0
     while len(records) * 2 < m:
-        while head < n and (matched[early_at[head]] or matched[late_at[head]]):
+        stop = min(head + SCALAR_SKIP, n)
+        while head < stop and (matched[early_at[head]] or matched[late_at[head]]):
             head += 1
+        if head == stop:
+            head = _next_live(early, late, matched_np, head)
         if head == n:
             raise ValueError("no admissible pair left; perfect matching impossible")
         chosen = head

@@ -36,7 +36,7 @@ from mpmd.instances import (
     gen_two_point_rows,
     instance_digest,
 )
-from mpmd.metric import augmented_distance
+from mpmd.metric import augmented_distance, is_finite_real
 from mpmd.oracle import GENERAL_OPT_MAX, Matching, opt_bipartite, opt_general
 
 RATIO_TOL = 1e-9
@@ -79,12 +79,20 @@ def eval_f(m_max: int, gamma: float) -> FTable:
 
 
 def theoretical_bound(m: int, epsilon: float) -> float:
-    """Upper bound 2 / f(m) on the hemisphere policy's offline weight ratio."""
+    """Upper bound 2 / f(m) on the hemisphere policy's offline weight ratio.
+
+    Raises ValueError when the bound exceeds the largest double, as it does
+    once f(m) underflows for a huge epsilon.
+    """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be an even integer >= 2, got {m}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be strictly positive, got {epsilon}")
-    return 2.0 / eval_f(m, 3.0 + epsilon).value(m)
+    if not (is_finite_real(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and strictly positive, got {epsilon}")
+    f_m = eval_f(m, 3.0 + epsilon).value(m)
+    bound = 2.0 / f_m if f_m > 0 else math.inf
+    if math.isinf(bound):
+        raise ValueError(f"bound 2/f(m) overflows at m={m}, epsilon={epsilon}: f(m) = {f_m!r}")
+    return bound
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ class LowerBoundParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
+        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
         if not 0 <= self.eta < ETA_MAX:
             raise ValueError(f"eta must lie in [0, {ETA_MAX}), got {self.eta}")
 
@@ -71,8 +71,8 @@ class TwoPointRowsParams:
             raise ValueError(f"m must be a multiple of 4, got {self.m}")
         if not self.delta > 0:
             raise ValueError(f"delta must be strictly positive, got {self.delta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
+        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
 
 
 def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
@@ -83,8 +83,8 @@ def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
     """
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be strictly positive, got {epsilon}")
+    if not (is_finite_real(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and strictly positive, got {epsilon}")
     b = 1.0
     a = b / (1.0 + epsilon)
     for _ in range(i - 1):

@@ -507,6 +507,8 @@ def check_io_roundtrip(tally: Tally, instances) -> None:
 
 def random_suite(count: int, max_m: int, seed: int = 20240):
     """Deterministic list of (label, instance) pairs for the verify run."""
+    if max_m < 2:
+        raise ValueError(f"max_m must be >= 2, got {max_m}")
     metrics = ("line", "euclidean", "finite")
     suite = []
     for idx in range(count):

@@ -167,3 +167,49 @@ def test_verify_small_run_passes(runner):
 def test_missing_instance_file(runner):
     result = invoke(runner, "run", "-i", "no-such.json", "--policy", "hemisphere", "--epsilon", 1)
     assert result.exit_code != 0
+
+
+def assert_usage_error(result, option):
+    assert result.exit_code != 0
+    assert "Error:" in result.output
+    assert option in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--max-m", 0], "--max-m"),
+        (["--max-m", 1], "--max-m"),
+        (["--count", -3, "--skip-families"], "--count"),
+        (["--count", 0, "--skip-families"], "--count"),
+        (["--eps", "abc"], "--eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "inf"], "--eps"),
+        (["--eps", "0"], "--eps"),
+        (["--eps", ","], "--eps"),
+    ],
+)
+def test_verify_rejects_bad_options(runner, args, option):
+    assert_usage_error(invoke(runner, "verify", *args), option)
+
+
+def test_gen_lower_bound_rejects_infinite_epsilon(runner, tmp_path):
+    path = tmp_path / "lb.json"
+    result = invoke(runner, "gen", "lower-bound", "--k", 2, "--epsilon", "inf", "-o", path)
+    assert_usage_error(result, "epsilon must be finite")
+    assert not path.exists()
+
+
+def test_bound_with_huge_epsilon_exits_with_error(runner):
+    result = invoke(runner, "bound", "--m", 12, "--epsilon", "1e300")
+    assert_usage_error(result, "m=12, epsilon=1e+300")
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "1e300"])
+def test_ratio_with_infinite_or_huge_epsilon_exits_with_error(runner, tmp_path, epsilon):
+    path = tmp_path / "r.json"
+    save_instance(gen_random(12, 1, metric="line"), path)
+    result = invoke(runner, "ratio", "-i", path, "--policy", "hemisphere", "--epsilon", epsilon)
+    assert_usage_error(result, "epsilon")

@@ -1,7 +1,9 @@
 """Simulation engine: firing rules, event ordering, costs, and run invariants."""
 
 import math
+import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from mpmd.engine import (
     NOTIME_LATE,
     NOTIME_MIN,
     POLICY_KINDS,
+    SCALAR_SKIP,
     Instance,
     MatchRecord,
     Policy,
@@ -83,6 +86,11 @@ class TestEventTime:
             Policy(HEMISPHERE, 0.0)
         with pytest.raises(ValueError, match="epsilon"):
             Policy(HEMISPHERE, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_epsilon_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            Policy(HEMISPHERE, bad)
 
 
 class TestCosts:
@@ -299,6 +307,59 @@ def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
         assert engine_pairs == reference_simulate(inst, policy)
 
 
+def _longest_stale_run(instance, policy, records):
+    """Longest run of stale events the scan skips at one step of the run.
+
+    Replays the records in firing order over the sorted events: before each
+    step the scan's head moves past every stale event to the first live one.
+    """
+    requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
+    position = {r.id: k for k, r in enumerate(requests)}
+    _, early, late, _ = _sorted_events(requests, instance.space, policy)
+    matched = np.zeros(len(requests), dtype=bool)
+    head = longest = 0
+    for rec in records:
+        start = head
+        while matched[early[head]] or matched[late[head]]:
+            head += 1
+        longest = max(longest, head - start)
+        matched[position[rec.p]] = matched[position[rec.q]] = True
+    return longest
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang it, if it runs past 60 seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("m", [24, 32, 48])
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, deadline):
+    # At these sizes some steps skip more stale events than the scalar check
+    # covers, so the scan tests whole windows, and at least one window is
+    # all stale and must advance.
+    inst = gen_random(m, m + 7, metric=metric, dim=2, n_points=4, bipartite=bipartite)
+    longest = 0
+    for kind in _kinds(inst):
+        for eps in (0.5, 2.0):
+            policy = Policy(kind, eps)
+            records = simulate(inst, policy).records
+            engine_pairs = [(min(r.p, r.q), max(r.p, r.q)) for r in records]
+            assert engine_pairs == reference_simulate(inst, policy)
+            longest = max(longest, _longest_stale_run(inst, policy, records))
+    assert longest > 2 * SCALAR_SKIP
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_sorted_events_equal_scalar_firing_rule(seed):
     # Event times are compared with ==.  Only the times need to be sorted:
@@ -416,3 +477,52 @@ def test_last_pair_inequality(params):
         for y in (c, d)
     )
     assert d_ab <= (1.0 + eps) * cross + 1e-9
+
+
+def _record_bits(rec, new_id=None):
+    ids = (rec.p, rec.q) if new_id is None else (new_id[rec.p], new_id[rec.q])
+    floats = (rec.match_time, rec.connection, rec.delay_p, rec.delay_q)
+    return ids + tuple(x.hex() for x in floats)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=1, max_value=8).map(lambda h: 2 * h),
+    metric=st.sampled_from(["line", "euclidean", "finite"]),
+    bipartite=st.booleans(),
+    eps=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+    gaps=st.lists(st.integers(min_value=1, max_value=50), min_size=16, max_size=16),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_simulate_commutes_with_relabel_and_request_order(
+    seed, m, metric, bipartite, eps, gaps, order
+):
+    inst = gen_random(m, seed, metric=metric, bipartite=bipartite)
+    ids = sorted(r.id for r in inst.requests)
+    # Strictly increasing new ids keep the id key's order.
+    new_id = {}
+    last = -1
+    for rid, gap in zip(ids, gaps):
+        last += gap
+        new_id[rid] = last
+    relabelled = Instance(
+        inst.space,
+        tuple(
+            Request(id=new_id[r.id], point=r.point, color=r.color) for r in inst.requests
+        ),
+        bipartite=bipartite,
+    )
+    shuffled_requests = list(inst.requests)
+    order.shuffle(shuffled_requests)
+    shuffled = Instance(inst.space, tuple(shuffled_requests), bipartite=bipartite)
+    for kind in _kinds(inst):
+        policy = Policy(kind, eps)
+        base = simulate(inst, policy)
+        moved = simulate(relabelled, policy)
+        assert [_record_bits(r) for r in moved.records] == [
+            _record_bits(r, new_id) for r in base.records
+        ]
+        assert moved.online_cost.hex() == base.online_cost.hex()
+        assert moved.offline_weight.hex() == base.offline_weight.hex()
+        assert simulate(shuffled, policy) == base

@@ -68,6 +68,18 @@ class TestTheoreticalBound:
         values = [theoretical_bound(m, 0.5) for m in range(2, 65, 2)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_or_non_positive_epsilon(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            theoretical_bound(12, bad)
+
+    def test_overflowing_bound_names_m_and_epsilon(self):
+        # gamma = 3 + 1e300 drives f(12) to 0, so 2/f(12) has no double.
+        with pytest.raises(ValueError, match=r"m=12, epsilon=1e\+300"):
+            theoretical_bound(12, 1e300)
+        # f(4) = 2/gamma is still positive there.
+        assert theoretical_bound(4, 1e300) == 2.0 / (2.0 / (3.0 + 1e300))
+
 
 class TestFit:
     def test_pure_power_law(self):

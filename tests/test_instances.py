@@ -59,6 +59,11 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_ab(3, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_epsilon(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            recurrence_ab(3, bad)
+
 
 class TestCascadeGenerator:
     def test_k1_times(self):
@@ -96,6 +101,9 @@ class TestCascadeGenerator:
             LowerBoundParams(k=2, epsilon=-1.0)
         with pytest.raises(ValueError):
             LowerBoundParams(k=2, epsilon=1.0, eta=1e-2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                LowerBoundParams(k=2, epsilon=bad)
 
 
 class TestExpectedCascadeResult:
@@ -184,6 +192,9 @@ class TestTwoPointRows:
             TwoPointRowsParams(m=4, delta=0.1)
         with pytest.raises(ValueError):
             TwoPointRowsParams(m=8, delta=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                TwoPointRowsParams(m=8, delta=0.1, epsilon=bad)
 
 
 class TestGenRandom:

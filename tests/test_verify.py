@@ -2,9 +2,17 @@
 
 from dataclasses import replace
 
+import pytest
+
 from mpmd.engine import HEMISPHERE, Policy, simulate
 from mpmd.instances import gen_random
-from mpmd.verify import Tally, check_cost_scaling, run_verify
+from mpmd.verify import Tally, check_cost_scaling, random_suite, run_verify
+
+
+@pytest.mark.parametrize("max_m", [0, 1])
+def test_random_suite_rejects_max_m_below_two(max_m):
+    with pytest.raises(ValueError, match="max_m must be >= 2"):
+        random_suite(3, max_m)
 
 
 def test_small_run_all_green():
