@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -32,6 +31,7 @@ from mpmd.instances import (
     load_instance,
     save_instance,
 )
+from mpmd.metric import is_finite_real
 from mpmd.oracle import opt_bipartite, opt_general
 from mpmd.verify import run_verify
 
@@ -281,17 +281,18 @@ def bound_cmd(m: int, epsilon: float) -> None:
 
 def _parse_eps_list(ctx, param, value: str) -> tuple[float, ...]:
     """Comma-separated epsilons, each a finite number > 0, at least one."""
-    tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-    if not tokens:
-        raise click.BadParameter("needs at least one epsilon")
-    for tok in tokens:
+    eps_list = []
+    for tok in filter(None, (tok.strip() for tok in value.split(","))):
         try:
             eps = float(tok)
         except ValueError:
-            eps = math.nan
-        if not (math.isfinite(eps) and eps > 0):
+            eps = None
+        if not (is_finite_real(eps) and eps > 0):
             raise click.BadParameter(f"{tok!r} is not a finite number > 0")
-    return tuple(float(tok) for tok in tokens)
+        eps_list.append(eps)
+    if not eps_list:
+        raise click.BadParameter("needs at least one epsilon")
+    return tuple(eps_list)
 
 
 @main.command("verify")
