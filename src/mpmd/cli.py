@@ -22,6 +22,7 @@ from mpmd.harness import (
     theoretical_bound,
 )
 from mpmd.instances import (
+    LOWER_BOUND_K_MAX,
     LowerBoundParams,
     TwoPointRowsParams,
     gen_lower_bound,
@@ -71,7 +72,8 @@ def gen() -> None:
 
 
 @gen.command("lower-bound")
-@click.option("--k", type=int, required=True, help="Levels; the instance has 2**k requests.")
+@click.option("--k", type=int, required=True,
+              help=f"Levels; the instance has 2**k requests.  At most {LOWER_BOUND_K_MAX}.")
 @click.option("--epsilon", type=float, required=True, help="Radius growth rate the family targets.")
 @click.option("--eta", type=float, default=1e-6, show_default=True, help="Tie-breaking gap shrink factor.")
 @click.option("-o", "--output", type=click.Path(), required=True)
@@ -213,7 +215,8 @@ def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
 @click.option("--policy", type=_POLICY_CHOICE, default=None,
               help="Defaults to hemisphere for lower-bound, notime-min for appendix-b.")
 @click.option("--k-min", type=int, default=4, show_default=True, help="lower-bound only.")
-@click.option("--k-max", type=int, default=10, show_default=True, help="lower-bound only.")
+@click.option("--k-max", type=int, default=10, show_default=True,
+              help=f"lower-bound only; at most {LOWER_BOUND_K_MAX}.")
 @click.option("--eta", type=float, default=1e-6, show_default=True, help="lower-bound only.")
 @click.option("--m-list", default="16,32,64,128", show_default=True,
               help="appendix-b only; comma-separated request counts.")

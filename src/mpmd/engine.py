@@ -9,21 +9,33 @@ match can never precede the later arrival, so anchored-at-the-earlier
 variants are clamped to it.
 
 A pair's firing time depends on that pair alone, so ``simulate`` computes
-every admissible pair's time at once as numpy arrays, sorts the events once
-by time, and scans the sorted list.  An event whose endpoint is already
-matched is stale and skipped: up to ``SCALAR_SKIP`` of them one by one, then
-in windows of doubling width, each tested at once with numpy, until a window
-holds a live event.  At the first live event the scan gathers the tie
-cluster, every event no later than its time plus ``TIME_TIE_TOL``, and fires
-the live member with the smallest id key (later-arrival id, then earlier id);
-the other members stay in place for the next step.  Pairs thus fire in a
-deterministic order: by event time, with times within ``TIME_TIE_TOL`` of the
-earliest live one ordered by the id key.  Memory is O(m^2): about 24 bytes
-per admissible pair plus the m-by-m distance matrix.
+every admissible pair's event once, sorts the events by time, and scans the
+sorted list.  Two builders make the same events, chosen by the request count
+alone.  Runs of at most ``SMALL_RUN_MAX`` requests build, sort and scan plain
+Python tuples (time, i, j, d, gap, wait): there numpy's fixed cost of tens
+of microseconds per call outweighs its speed, and ``verify`` makes thousands
+of such calls.  Larger runs compute the times as numpy arrays, sort them once
+and scan them through memoryviews.  An event whose endpoint is already
+matched is stale and skipped: one by one in the tuple scan; in the array scan
+up to ``SCALAR_SKIP`` of them one by one, then in windows of doubling width,
+each tested at once with numpy, until a window holds a live event.  At the
+first live event the scan gathers the tie cluster, every event no later than
+its time plus ``TIME_TIE_TOL``, and fires the live member with the smallest
+id key (later-arrival id, then earlier id); the other members stay in place
+for the next step.  Pairs thus fire in a deterministic order: by event time,
+with times within ``TIME_TIE_TOL`` of the earliest live one ordered by the id
+key.  The tolerance is absolute, so it means less as times grow: near 4.5e6
+one ulp of a double is about 1e-9, the tolerance itself, and from 2**23
+(about 8.4e6) on a cluster holds only exactly equal times.  Each record, and
+the offline weight, come from the fired pair's own d, gap and wait, computed
+by the same IEEE operations in both builders, so their reports are equal bit
+for bit.  Memory is O(m^2): about 24 bytes per admissible pair plus the
+m-by-m distance matrix in the array builder.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +46,7 @@ from mpmd.metric import (
     TimedPoint,
     augmented_distance,
     distance,
+    distance_kernel,
     is_finite_real,
     pairwise,
     validate_point,
@@ -50,12 +63,22 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # Absolute tolerance under which two event times are considered tied.
 TIME_TIE_TOL = 1e-9
 
-# Stale events the scan skips one at a time before it tests whole windows,
-# and the first window's width.  A numpy window costs microseconds at any
-# width and most steps of small runs skip only a few stale events, so the
-# scalar check comes first: windows alone made the verify benchmark 20%
-# slower, and limits of 8 and 128 were slower than 32 on verify and large.
+# Stale events the array scan skips one at a time before it tests whole
+# windows, and the first window's width.  A numpy window costs microseconds at
+# any width and most steps skip only a few stale events, so the scalar check
+# comes first: when every run used the array scan, windows alone made the
+# verify benchmark 20% slower, and limits of 8 and 128 were slower than 32 on
+# verify and large.
 SCALAR_SKIP = 32
+
+# Largest request count whose events simulate builds, sorts and scans as
+# Python tuples rather than numpy arrays.  Per call on random hemisphere runs
+# (2-vCPU Xeon VM), tuples took 32-41 us against 58-78 us for arrays at m=8;
+# at m=16, 102 against 86 us on the line, 102 against 103 on a finite space
+# and 101 against 135 in the plane; at m=48 they were 2-3x slower.
+SMALL_RUN_MAX = 16
+
+_NO_PAIR_LEFT = "no admissible pair left; perfect matching impossible"
 
 
 @dataclass(frozen=True)
@@ -295,18 +318,67 @@ def _next_live(early, late, matched_np, head: int) -> int:
     return n
 
 
-def simulate(instance: Instance, policy: Policy) -> RunReport:
-    """Run the policy over the instance and return the complete match report.
+def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tuple:
+    """The event (time, i, j, d, gap, wait) of the pair of positions i < j.
 
-    A pure function of its arguments: repeated runs produce identical
-    reports.  Records are emitted in firing order, which respects the
-    deterministic event order described in the module docstring.  Each
-    record's times and costs come from the scalar firing rule of its pair.
+    ``t`` and ``loc`` are the times and locations of the requests in (time,
+    id) order, so position i is the earlier arrival.  ``_fire_small`` inlines
+    the same operations, which saves a call per pair.
     """
-    _check_compatible(instance, policy)
-    space = instance.space
-    requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
+    d = dist(loc[i], loc[j])
+    gap = t[j] - t[i]
+    wait = _wait(policy, d, gap, max)
+    return t[j] + wait, i, j, d, gap, wait
+
+
+def _fire_small(requests: list[Request], space: MetricSpace, policy: Policy) -> list[tuple]:
+    """The fired events of a small run, built, sorted and scanned as tuples."""
     m = len(requests)
+    dist = distance_kernel(space)
+    t = [r.time for r in requests]
+    loc = [r.location for r in requests]
+    bipartite = policy.kind == HEMISPHERE_BIPARTITE
+    color = [r.color for r in requests]
+    events = []
+    for j in range(m):
+        t_late, loc_late, color_late = t[j], loc[j], color[j]
+        for i in range(j):
+            if bipartite and color[i] == color_late:
+                continue
+            d = dist(loc[i], loc_late)
+            gap = t_late - t[i]
+            wait = _wait(policy, d, gap, max)
+            events.append((t_late + wait, i, j, d, gap, wait))
+    events.sort()
+    times = [e[0] for e in events]
+    matched = bytearray(m)
+    n = len(events)
+    fired: list[tuple] = []
+    head = 0
+    while len(fired) * 2 < m:
+        while head < n and (matched[events[head][1]] or matched[events[head][2]]):
+            head += 1
+        if head == n:
+            raise ValueError(_NO_PAIR_LEFT)
+        chosen = events[head]
+        end = bisect_right(times, chosen[0] + TIME_TIE_TOL, head + 1)
+        if end > head + 1:
+            # A tie cluster: fire its live member with the smallest id key.
+            chosen = min(
+                (e for e in events[head:end] if not (matched[e[1]] or matched[e[2]])),
+                key=lambda e: (requests[e[2]].id, requests[e[1]].id),
+            )
+        matched[chosen[1]] = matched[chosen[2]] = 1
+        fired.append(chosen)
+    return fired
+
+
+def _fire_large(requests: list[Request], space: MetricSpace, policy: Policy) -> list[tuple]:
+    """The fired events of a run, built, sorted and scanned as numpy arrays."""
+    m = len(requests)
+    dist = distance_kernel(space)
+    t = [r.time for r in requests]
+    loc = [r.location for r in requests]
     times, early, late, rank = _sorted_events(requests, space, policy)
     n = len(times)
     # Element reads through memoryviews are Python numbers, without the cost
@@ -314,17 +386,16 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
     time_at, early_at, late_at = memoryview(times), memoryview(early), memoryview(late)
     matched = bytearray(m)
     matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
-
-    records: list[MatchRecord] = []
+    fired: list[tuple] = []
     head = 0
-    while len(records) * 2 < m:
+    while len(fired) * 2 < m:
         stop = min(head + SCALAR_SKIP, n)
         while head < stop and (matched[early_at[head]] or matched[late_at[head]]):
             head += 1
         if head == stop:
             head = _next_live(early, late, matched_np, head)
         if head == n:
-            raise ValueError("no admissible pair left; perfect matching impossible")
+            raise ValueError(_NO_PAIR_LEFT)
         chosen = head
         limit = time_at[head] + TIME_TIE_TOL
         if head + 1 < n and time_at[head + 1] <= limit:
@@ -334,24 +405,39 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
             live = np.flatnonzero((matched_np[seg_early] | matched_np[seg_late]) == 0)
             key = rank[seg_late[live]].astype(np.int64) * m + rank[seg_early[live]]
             chosen = head + int(live[np.argmin(key)])
-        a, b = requests[early_at[chosen]], requests[late_at[chosen]]
-        matched[early_at[chosen]] = matched[late_at[chosen]] = 1
-        match_time, delay_early, delay_late = _pair_schedule(policy, a, b, space)
+        i, j = early_at[chosen], late_at[chosen]
+        matched[i] = matched[j] = 1
+        fired.append(_pair_event(policy, dist, t, loc, i, j))
+    return fired
+
+
+def simulate(instance: Instance, policy: Policy) -> RunReport:
+    """Run the policy over the instance and return the complete match report.
+
+    A pure function of its arguments: repeated runs produce identical
+    reports.  Records are emitted in firing order, which respects the
+    deterministic event order described in the module docstring.  Each
+    record's times and costs are those of its pair's event.
+    """
+    _check_compatible(instance, policy)
+    requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
+    fire = _fire_small if len(requests) <= SMALL_RUN_MAX else _fire_large
+    records = []
+    weight = 0.0
+    for match_time, i, j, d, gap, wait in fire(requests, instance.space, policy):
+        # Position i is the earlier arrival, as in every event.
         records.append(
             MatchRecord(
-                p=a.id,
-                q=b.id,
+                p=requests[i].id,
+                q=requests[j].id,
                 match_time=match_time,
-                connection=distance(space, a.location, b.location),
-                delay_p=delay_early,
-                delay_q=delay_late,
+                connection=d,
+                delay_p=gap + wait,
+                delay_q=wait,
             )
         )
-
+        weight += d + gap  # the pair's augmented distance, as ``offline_weight`` sums it
     recs = tuple(records)
     return RunReport(
-        policy=policy,
-        records=recs,
-        online_cost=online_cost(recs),
-        offline_weight=offline_weight(recs, instance),
+        policy=policy, records=recs, online_cost=online_cost(recs), offline_weight=weight
     )

@@ -271,10 +271,11 @@ def sweep_lower_bound(
 ) -> SweepResult:
     """Run the policy over the single-point cascade for each k and fit the slope."""
     policy = Policy(kind=policy_kind, epsilon=epsilon)
-    rows = []
-    for k in sorted(k_values):
-        instance = gen_lower_bound(LowerBoundParams(k=k, epsilon=epsilon, eta=eta))
-        rows.append(_sweep_point("lower-bound", instance, policy))
+    # Every k is checked, the largest first, before any instance is built.
+    params = [
+        LowerBoundParams(k=k, epsilon=epsilon, eta=eta) for k in sorted(k_values, reverse=True)
+    ]
+    rows = [_sweep_point("lower-bound", gen_lower_bound(p), policy) for p in reversed(params)]
     slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
     return SweepResult(
         family="lower-bound",

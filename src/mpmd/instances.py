@@ -37,6 +37,11 @@ from mpmd.metric import (
 
 ETA_MAX = 1e-3
 DEFAULT_ETA = 1e-6
+# Largest cascade level k.  The cascade has m = 2**k requests, and a run over
+# it holds O(m^2) memory: with the hemisphere policy m=4096 peaked at about
+# 400 MB and m=8192 extrapolates to about 1.5 GB, so k=14 would need about
+# 6 GB, near the whole of a 7 GB machine.
+LOWER_BOUND_K_MAX = 13
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,12 @@ class LowerBoundParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k > LOWER_BOUND_K_MAX:
+            raise ValueError(
+                f"k must be at most {LOWER_BOUND_K_MAX} "
+                f"(2**{LOWER_BOUND_K_MAX} = {2**LOWER_BOUND_K_MAX} requests), "
+                f"got k={self.k}, which asks for 2**{self.k} requests"
+            )
         if not (is_finite_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
         if not 0 <= self.eta < ETA_MAX:

@@ -7,15 +7,19 @@ the absolute time difference to the spatial distance and is itself a metric.
 
 All values are finite double-precision reals and comparisons here are exact;
 any tolerance handling belongs to the simulation layer, where events are
-ordered.  ``pairwise`` tabulates many distances at once and agrees with
-``distance`` bit for bit, so callers may use either.
+ordered.  Each space's scalar formula lives in ``distance_kernel``, which
+trusts its points; ``distance`` validates them first.  ``pairwise``
+tabulates many distances at once and agrees with ``distance`` bit for bit,
+so callers may use either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +129,11 @@ class MetricSpace:
             raise ValueError(f"invalid finite metric: {violation}")
         return cls(kind=FINITE, points=names, matrix=rows)
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Position of each named point of a finite space, by name."""
+        return {name: k for k, name in enumerate(self.points)}
+
     def index(self, name: str) -> int:
         try:
             return self.points.index(name)
@@ -169,19 +178,31 @@ def validate_point(space: MetricSpace, p: Point) -> None:
         raise ValueError(f"unknown metric kind {space.kind!r}")
 
 
+def _line_distance(a: Point, b: Point) -> float:
+    return abs(float(a) - float(b))
+
+
+def distance_kernel(space: MetricSpace) -> Callable[[Point, Point], float]:
+    """The space's distance function, which does not validate its points.
+
+    For points already checked at the boundary, such as the locations of an
+    ``Instance``; on other input it may raise or return garbage.
+    """
+    if space.kind == LINE:
+        return _line_distance
+    if space.kind == EUCLIDEAN:
+        return math.dist
+    if space.kind == FINITE:
+        positions, matrix = space.positions, space.matrix
+        return lambda a, b: matrix[positions[a]][positions[b]]
+    raise ValueError(f"unknown metric kind {space.kind!r}")
+
+
 def distance(space: MetricSpace, a: Point, b: Point) -> float:
     """Spatial distance between two points of the space."""
-    if space.kind == LINE:
-        validate_point(space, a)
-        validate_point(space, b)
-        return abs(float(a) - float(b))
-    if space.kind == EUCLIDEAN:
-        validate_point(space, a)
-        validate_point(space, b)
-        return math.dist(a, b)
-    if space.kind == FINITE:
-        return space.matrix[space.index(a)][space.index(b)]
-    raise ValueError(f"unknown metric kind {space.kind!r}")
+    validate_point(space, a)
+    validate_point(space, b)
+    return distance_kernel(space)(a, b)
 
 
 def pairwise(space: MetricSpace, a, b=None) -> np.ndarray:
@@ -214,7 +235,7 @@ def pairwise(space: MetricSpace, a, b=None) -> np.ndarray:
             out[i + 1 :, i] = out[i, i + 1 :]
         return out
     if space.kind == FINITE:
-        index = {name: k for k, name in enumerate(space.points)}
+        index = space.positions
         try:
             rows = [index[p] for p in a]
             cols = rows if square else [index[q] for q in b]

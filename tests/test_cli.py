@@ -1,12 +1,13 @@
 """CLI surface: every subcommand, output formats, and exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
 from mpmd.cli import main
-from mpmd.instances import gen_random, save_instance
+from mpmd.instances import LOWER_BOUND_K_MAX, gen_random, save_instance
 
 
 @pytest.fixture
@@ -213,3 +214,20 @@ def test_ratio_with_infinite_or_huge_epsilon_exits_with_error(runner, tmp_path, 
     save_instance(gen_random(12, 1, metric="line"), path)
     result = invoke(runner, "ratio", "-i", path, "--policy", "hemisphere", "--epsilon", epsilon)
     assert_usage_error(result, "epsilon")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "lower-bound", "--k", 40, "--epsilon", 1],
+        ["sweep", "--family", "lower-bound", "--k-min", 4, "--k-max", 40],
+    ],
+)
+def test_cascade_level_above_cap_exits_at_once(runner, tmp_path, deadline, args):
+    path = tmp_path / "out"
+    started = time.perf_counter()
+    result = invoke(runner, *args, "-o", path)
+    assert time.perf_counter() - started < 5.0
+    assert_usage_error(result, f"k must be at most {LOWER_BOUND_K_MAX}")
+    assert "got k=40, which asks for 2**40 requests" in result.output
+    assert not path.exists()

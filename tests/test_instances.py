@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpmd.engine import HEMISPHERE, Policy, simulate
 from mpmd.instances import (
+    LOWER_BOUND_K_MAX,
     InstanceFormatError,
     LowerBoundParams,
     TwoPointRowsParams,
@@ -104,6 +105,12 @@ class TestCascadeGenerator:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="epsilon must be finite"):
                 LowerBoundParams(k=2, epsilon=bad)
+
+    def test_k_capped(self):
+        assert LowerBoundParams(k=LOWER_BOUND_K_MAX, epsilon=1.0).k == LOWER_BOUND_K_MAX
+        k = LOWER_BOUND_K_MAX + 1
+        with pytest.raises(ValueError, match=rf"at most .*got k={k}, which asks for 2\*\*{k} "):
+            LowerBoundParams(k=k, epsilon=1.0)
 
 
 class TestExpectedCascadeResult:
