@@ -23,6 +23,7 @@ from mpmd.harness import (
 )
 from mpmd.instances import (
     LOWER_BOUND_K_MAX,
+    REQUEST_COUNT_MAX,
     LowerBoundParams,
     TwoPointRowsParams,
     gen_lower_bound,
@@ -88,7 +89,8 @@ def gen_lower_bound_cmd(k: int, epsilon: float, eta: float, output: str) -> None
 
 
 @gen.command("appendix-b")
-@click.option("--m", type=int, required=True, help="Request count, a multiple of 4, at least 8.")
+@click.option("--m", type=int, required=True,
+              help=f"Request count, a multiple of 4, from 8 to {REQUEST_COUNT_MAX}.")
 @click.option("--delta", type=float, required=True, help="Short gap and excess of the cross distance over 2.")
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen_appendix_b_cmd(m: int, delta: float, output: str) -> None:
@@ -102,7 +104,8 @@ def gen_appendix_b_cmd(m: int, delta: float, output: str) -> None:
 
 
 @gen.command("random")
-@click.option("--m", type=int, required=True, help="Even request count.")
+@click.option("--m", type=int, required=True,
+              help=f"Even request count, at most {REQUEST_COUNT_MAX}.")
 @click.option("--seed", type=int, required=True)
 @click.option("--metric", default="line", show_default=True,
               help="line, euclidean:D, or finite:N.")
@@ -219,7 +222,8 @@ def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
               help=f"lower-bound only; at most {LOWER_BOUND_K_MAX}.")
 @click.option("--eta", type=float, default=1e-6, show_default=True, help="lower-bound only.")
 @click.option("--m-list", default="16,32,64,128", show_default=True,
-              help="appendix-b only; comma-separated request counts.")
+              help=f"appendix-b only; comma-separated request counts, each at most "
+                   f"{REQUEST_COUNT_MAX}.")
 @click.option("--delta", type=float, default=None,
               help="appendix-b only; defaults to 1/m per instance.")
 @click.option("-o", "--output", type=click.Path(), default=None)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from mpmd.metric import (
     MetricSpace,
     Point,
     TimedPoint,
-    augmented_distance,
     distance,
     distance_kernel,
     is_finite_real,
@@ -246,16 +246,33 @@ def online_cost(records) -> float:
     return sum(r.connection + r.delay_p + r.delay_q for r in records)
 
 
-def offline_weight(records, instance: Instance) -> float:
-    """Total time-augmented weight of the matching the records describe."""
-    by_id = {r.id: r for r in instance.requests}
-    total = 0.0
-    for rec in records:
+def augmented_by_id(instance: Instance) -> Callable[[int, int], float]:
+    """Time-augmented distance between two of the instance's requests, by id.
+
+    The instance checked its points when it was built, so the spatial part
+    comes from the unchecked ``distance_kernel``; the result equals
+    ``augmented_distance`` bit for bit.  An id the instance lacks raises
+    ValueError.
+    """
+    points = {r.id: r.point for r in instance.requests}
+    dist = distance_kernel(instance.space)
+
+    def weight(p: int, q: int) -> float:
         try:
-            p, q = by_id[rec.p], by_id[rec.q]
+            a, b = points[p], points[q]
         except KeyError as exc:
             raise ValueError(f"unknown request id {exc.args[0]}") from None
-        total += augmented_distance(instance.space, p.point, q.point)
+        return dist(a.location, b.location) + abs(a.time - b.time)
+
+    return weight
+
+
+def offline_weight(records, instance: Instance) -> float:
+    """Total time-augmented weight of the matching the records describe."""
+    weight = augmented_by_id(instance)
+    total = 0.0
+    for rec in records:
+        total += weight(rec.p, rec.q)
     return total
 
 

@@ -27,6 +27,7 @@ from mpmd.engine import (
     Instance,
     Policy,
     RunReport,
+    augmented_by_id,
     simulate,
 )
 from mpmd.instances import (
@@ -36,7 +37,7 @@ from mpmd.instances import (
     gen_two_point_rows,
     instance_digest,
 )
-from mpmd.metric import augmented_distance, is_finite_real
+from mpmd.metric import is_finite_real
 from mpmd.oracle import GENERAL_OPT_MAX, Matching, opt_bipartite, opt_general
 
 RATIO_TOL = 1e-9
@@ -217,11 +218,8 @@ def fit_log2_slope(ms, ratios) -> float:
 
 
 def _pair_weight(instance: Instance, pairs) -> float:
-    by_id = {r.id: r for r in instance.requests}
-    return sum(
-        augmented_distance(instance.space, by_id[p].point, by_id[q].point)
-        for p, q in pairs
-    )
+    dist = augmented_by_id(instance)
+    return sum(dist(p, q) for p, q in pairs)
 
 
 def reference_matching_weight(family: str, instance: Instance) -> float:
@@ -294,12 +292,12 @@ def sweep_two_point_rows(
 ) -> SweepResult:
     """Run the policy over the two-point rows for each m; delta defaults to 1/m."""
     policy = Policy(kind=policy_kind, epsilon=epsilon)
-    rows = []
-    for m in sorted(m_values):
-        params = TwoPointRowsParams(
-            m=m, delta=delta if delta is not None else 1.0 / m, epsilon=epsilon
-        )
-        rows.append(_sweep_point("appendix-b", gen_two_point_rows(params), policy))
+    # Every m is checked before any instance is built.
+    params = [
+        TwoPointRowsParams(m=m, delta=delta if delta is not None else 1.0 / m, epsilon=epsilon)
+        for m in sorted(m_values)
+    ]
+    rows = [_sweep_point("appendix-b", gen_two_point_rows(p), policy) for p in params]
     slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
     return SweepResult(
         family="appendix-b",

@@ -42,6 +42,9 @@ DEFAULT_ETA = 1e-6
 # 400 MB and m=8192 extrapolates to about 1.5 GB, so k=14 would need about
 # 6 GB, near the whole of a 7 GB machine.
 LOWER_BOUND_K_MAX = 13
+# Largest request count of a two-point row or random instance, the size of
+# the largest cascade, for the same O(m^2) reason.
+REQUEST_COUNT_MAX = 2**LOWER_BOUND_K_MAX
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,13 @@ class LowerBoundParams:
             raise ValueError(f"eta must lie in [0, {ETA_MAX}), got {self.eta}")
 
 
+def _check_request_count(m: int) -> None:
+    if m > REQUEST_COUNT_MAX:
+        raise ValueError(
+            f"m must be at most {REQUEST_COUNT_MAX} requests, got m={m}"
+        )
+
+
 @dataclass(frozen=True)
 class TwoPointRowsParams:
     """Parameters of the two-point row family: m requests, m divisible by 4."""
@@ -78,10 +88,11 @@ class TwoPointRowsParams:
     def __post_init__(self) -> None:
         if self.m < 8:
             raise ValueError(f"m must be >= 8, got {self.m}")
+        _check_request_count(self.m)
         if self.m % 4 != 0:
             raise ValueError(f"m must be a multiple of 4, got {self.m}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be strictly positive, got {self.delta}")
+        if not (is_finite_real(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and strictly positive, got {self.delta}")
         if not (is_finite_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
 
@@ -209,8 +220,9 @@ def gen_random(
         raise ValueError("request count must be even")
     if m < 0:
         raise ValueError(f"request count must be non-negative, got {m}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_request_count(m)
+    if not (is_finite_real(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     rng = random.Random(seed)
     if metric == LINE:
         space = MetricSpace.line()

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from mpmd.cli import main
-from mpmd.instances import LOWER_BOUND_K_MAX, gen_random, save_instance
+from mpmd.instances import LOWER_BOUND_K_MAX, REQUEST_COUNT_MAX, gen_random, save_instance
 
 
 @pytest.fixture
@@ -231,3 +231,43 @@ def test_cascade_level_above_cap_exits_at_once(runner, tmp_path, deadline, args)
     assert_usage_error(result, f"k must be at most {LOWER_BOUND_K_MAX}")
     assert "got k=40, which asks for 2**40 requests" in result.output
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["gen", "appendix-b", "--m", 8, "--delta", "inf"], "delta"),
+        (["gen", "random", "--m", 4, "--seed", 1, "--horizon", "inf"], "horizon"),
+        (["sweep", "--family", "appendix-b", "--m-list", "8,16", "--delta", "nan"], "delta"),
+    ],
+)
+def test_generators_reject_non_finite_inputs(runner, tmp_path, args, option):
+    path = tmp_path / "out"
+    result = invoke(runner, *args, "-o", path)
+    assert_usage_error(result, option)
+    assert "must be finite" in result.output
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "appendix-b", "--m", 2**30, "--delta", 0.1],
+        ["gen", "random", "--m", 2**30, "--seed", 1],
+        ["sweep", "--family", "appendix-b", "--m-list", f"16,{2**30}"],
+    ],
+)
+def test_request_count_above_cap_exits_at_once(runner, tmp_path, deadline, args):
+    path = tmp_path / "out"
+    started = time.perf_counter()
+    result = invoke(runner, *args, "-o", path)
+    assert time.perf_counter() - started < 5.0
+    assert_usage_error(result, f"m must be at most {REQUEST_COUNT_MAX} requests, got m={2**30}")
+    assert not path.exists()
+
+
+def test_request_count_cap_is_in_the_help(runner):
+    for args in (["gen", "appendix-b"], ["gen", "random"], ["sweep"]):
+        result = invoke(runner, *args, "--help")
+        assert result.exit_code == 0
+        assert str(REQUEST_COUNT_MAX) in result.output

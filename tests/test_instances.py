@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmd.engine import HEMISPHERE, Policy, simulate
 from mpmd.instances import (
     LOWER_BOUND_K_MAX,
+    REQUEST_COUNT_MAX,
     InstanceFormatError,
     LowerBoundParams,
     TwoPointRowsParams,
@@ -203,6 +204,18 @@ class TestTwoPointRows:
             with pytest.raises(ValueError, match="epsilon must be finite"):
                 TwoPointRowsParams(m=8, delta=0.1, epsilon=bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            TwoPointRowsParams(m=8, delta=bad)
+
+    def test_request_count_cap(self):
+        assert REQUEST_COUNT_MAX == 2**LOWER_BOUND_K_MAX
+        assert TwoPointRowsParams(m=REQUEST_COUNT_MAX, delta=0.1).m == REQUEST_COUNT_MAX
+        m = REQUEST_COUNT_MAX + 4
+        with pytest.raises(ValueError, match=f"at most {REQUEST_COUNT_MAX} requests, got m={m}"):
+            TwoPointRowsParams(m=m, delta=0.1)
+
 
 class TestGenRandom:
     def test_deterministic(self):
@@ -229,6 +242,16 @@ class TestGenRandom:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):
             gen_random(4, 0, metric="hyperbolic")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, bad):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            gen_random(4, 0, horizon=bad)
+
+    def test_request_count_cap(self):
+        m = REQUEST_COUNT_MAX + 2
+        with pytest.raises(ValueError, match=f"at most {REQUEST_COUNT_MAX} requests, got m={m}"):
+            gen_random(m, 0)
 
 
 @given(

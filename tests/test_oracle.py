@@ -3,15 +3,28 @@
 import gc
 import math
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, Instance, Policy, Request, simulate
+from mpmd.engine import (
+    HEMISPHERE,
+    HEMISPHERE_BIPARTITE,
+    Instance,
+    Policy,
+    Request,
+    augmented_by_id,
+    offline_weight,
+    simulate,
+)
+from mpmd.harness import _pair_weight
 from mpmd.instances import LowerBoundParams, gen_lower_bound, gen_random
 from mpmd.metric import MetricSpace, TimedPoint, augmented_distance
 from mpmd.oracle import (
     _augmented_matrix,
+    _layer_tables,
     Matching,
     brute_force_opt,
     cycle_decompose,
@@ -116,6 +129,110 @@ def reference_opt_general(instance):
     return Matching.from_pairs(pairs, instance)
 
 
+def _reachable_layers(m):
+    """Request masks reachable from the full set, layer by layer, by pairing
+    the lowest member with each other member; the last layer is {0}."""
+    full = (1 << m) - 1
+    layers = [{full}]
+    for _ in range(m // 2):
+        children = set()
+        for mask in layers[-1]:
+            low = mask & -mask
+            rest = mask ^ low
+            r = rest
+            while r:
+                jbit = r & -r
+                children.add(rest ^ jbit)
+                r ^= jbit
+        layers.append(children)
+    return layers
+
+
+def reachable_opt_general(instance):
+    """Reachable-set DP in plain Python, set by set; test-only reference.
+
+    Same recurrence, scan order and tie rule as ``opt_general``, but it finds
+    the reachable sets by enumeration instead of by their closed form and
+    scans each set's partners in an interpreted loop.
+    """
+    requests = sorted(instance.requests, key=lambda r: r.id)
+    m = len(requests)
+    if m == 0:
+        return Matching(pairs=(), weight=0.0)
+    w = _augmented_matrix(instance.space, requests).tolist()
+    layers = _reachable_layers(m)
+    dp = {0: 0.0}
+    choice = {}
+    for layer in reversed(layers[:-1]):
+        for mask in layer:
+            low = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << low)
+            w_low = w[low]
+            best = math.inf
+            best_j = -1
+            r = rest
+            while r:
+                jbit = r & -r
+                j = jbit.bit_length() - 1
+                cand = dp[rest ^ jbit] + w_low[j]
+                if cand < best:
+                    best = cand
+                    best_j = j
+                r ^= jbit
+            dp[mask] = best
+            choice[mask] = best_j
+    pairs = []
+    mask = (1 << m) - 1
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        j = choice[mask]
+        pairs.append((requests[low].id, requests[j].id))
+        mask ^= (1 << low) | (1 << j)
+    return Matching.from_pairs(pairs, instance)
+
+
+def _mask(members):
+    return sum(1 << i for i in members)
+
+
+def _colex_key(members):
+    return tuple(reversed(members))
+
+
+@pytest.mark.parametrize("m", range(2, 21, 2))
+def test_reachable_layers_are_the_subsets_of_the_top_elements(m):
+    layers = _reachable_layers(m)
+    counts = []
+    for k, layer in enumerate(layers):
+        assert layer == {_mask(c) for c in combinations(range(k, m), m - 2 * k)}
+        assert len(layer) == math.comb(m - k, k)
+        counts.append(len(layer))
+    fib = [0, 1]
+    while len(fib) <= m + 1:
+        fib.append(fib[-1] + fib[-2])
+    assert sum(counts) == fib[m + 1]
+
+
+@pytest.mark.parametrize("m", range(2, 21, 2))
+def test_layer_tables_list_colex_sets_and_child_ranks(m):
+    tables = _layer_tables(m)
+    assert len(tables) == m // 2
+    for k, (cells, ranks) in enumerate(tables):
+        want = sorted(combinations(range(k, m), m - 2 * k), key=_colex_key)
+        got = [
+            (int(row[0]) // m,) + tuple(int(c) % m for c in row) for row in cells
+        ]
+        assert got == want
+        # A child's rank is its position in the next layer's colex list.
+        following = sorted(combinations(range(k + 1, m), m - 2 * k - 2), key=_colex_key)
+        position = {s: i for i, s in enumerate(following)}
+        for members, row in zip(want, ranks):
+            rest = members[1:]
+            for q, partner in enumerate(rest):
+                child = tuple(x for x in rest if x != partner)
+                assert row[q] == position[child]
+
+
 def _tie_dense_instance(kind, m, seed):
     """Instance whose augmented distances are small integers, so many
     matchings share the optimal weight and the tie rule decides the pairs."""
@@ -179,6 +296,47 @@ class TestOptGeneralMatchesFullTable:
         _assert_matches_reference(inst)
 
 
+def _assert_matches_reachable_reference(inst):
+    got = opt_general(inst)
+    want = reachable_opt_general(inst)
+    assert got.pairs == want.pairs
+    assert got.weight.hex() == want.weight.hex()
+
+
+class TestOptGeneralMatchesReachableReference:
+    @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+    def test_random_m20(self, metric):
+        for seed in range(3):
+            _assert_matches_reachable_reference(gen_random(20, 2000 + seed, metric=metric))
+
+    @pytest.mark.parametrize("kind", ["identical", "lattice", "finite12"])
+    @pytest.mark.parametrize("m", [16, 18, 20])
+    def test_tie_dense(self, kind, m):
+        for seed in range(2):
+            _assert_matches_reachable_reference(_tie_dense_instance(kind, m, seed))
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("eta", [0.0, 1e-6])
+    def test_cascade(self, k, eta):
+        inst = gen_lower_bound(LowerBoundParams(k=k, epsilon=1.0, eta=eta))
+        _assert_matches_reachable_reference(inst)
+
+
+def test_opt_general_m20_peaks_well_below_a_dense_table():
+    # One float per subset of 20 requests would take 8 MB; the layer tables
+    # (built here from cold) and the largest layer's 3,003 x 9 candidates
+    # need a small fraction of that.
+    inst = gen_random(20, 5, metric="euclidean")
+    _layer_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        opt_general(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_opt_general_leaves_no_garbage_cycles():
     # A solver that keeps its tables alive through a reference cycle (a
     # self-referencing memoised closure, say) holds them until the cyclic
@@ -232,6 +390,53 @@ def test_oracles_commute_with_relabel_and_request_order(
         reordered = oracle(shuffled)
         assert reordered.pairs == base.pairs
         assert reordered.weight == base.weight
+
+
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_matching_weights_sum_augmented_distance_in_each_callers_order(metric):
+    inst = gen_random(16, 31, metric=metric)
+    points = {r.id: r.point for r in inst.requests}
+
+    def aug(p, q):
+        return augmented_distance(inst.space, points[p], points[q])
+
+    dist = augmented_by_id(inst)
+    for p in points:
+        for q in points:
+            assert dist(p, q).hex() == aug(p, q).hex()
+
+    report = simulate(inst, Policy(HEMISPHERE, 1.0))
+    total = 0.0
+    for rec in report.records:
+        total += aug(rec.p, rec.q)
+    assert offline_weight(report.records, inst).hex() == total.hex()
+
+    alg = matching_from_records(report.records, inst)
+    total = 0.0
+    for p, q in alg.pairs:
+        assert p < q
+        total += aug(p, q)
+    assert alg.weight.hex() == total.hex()
+
+    record_pairs = [(rec.p, rec.q) for rec in report.records]
+    assert _pair_weight(inst, record_pairs).hex() == sum(aug(p, q) for p, q in record_pairs).hex()
+
+    for cycle in cycle_decompose(alg, opt_general(inst), inst).cycles:
+        a_len = 0.0
+        for u, v in cycle.a_edges():
+            a_len += aug(u, v)
+        b_len = 0.0
+        for u, v in cycle.b_edges():
+            b_len += aug(u, v)
+        assert cycle.a_length.hex() == a_len.hex()
+        assert cycle.b_length.hex() == b_len.hex()
+
+
+def test_augmented_by_id_names_an_unknown_id():
+    inst = gen_random(4, 2, metric="line")
+    dist = augmented_by_id(inst)
+    with pytest.raises(ValueError, match="unknown request id 99"):
+        dist(1, 99)
 
 
 class TestOptBipartite:
