@@ -69,56 +69,3 @@ from mpmd.harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MetricSpace",
-    "MetricViolation",
-    "TimedPoint",
-    "augmented_distance",
-    "distance",
-    "validate_metric",
-    "HEMISPHERE",
-    "HEMISPHERE_BIPARTITE",
-    "NOTIME_EARLY",
-    "NOTIME_LATE",
-    "NOTIME_MIN",
-    "POLICY_KINDS",
-    "Instance",
-    "MatchRecord",
-    "Policy",
-    "Request",
-    "RunReport",
-    "event_time",
-    "offline_weight",
-    "online_cost",
-    "simulate",
-    "CycleDecomposition",
-    "Matching",
-    "brute_force_opt",
-    "cycle_decompose",
-    "matching_from_records",
-    "opt_bipartite",
-    "opt_general",
-    "realize_online",
-    "restriction_check",
-    "LowerBoundParams",
-    "TwoPointRowsParams",
-    "gen_lower_bound",
-    "gen_random",
-    "gen_two_point_rows",
-    "expected_lower_bound_result",
-    "instance_digest",
-    "load_instance",
-    "recurrence_ab",
-    "save_instance",
-    "FTable",
-    "RatioReport",
-    "SweepResult",
-    "compute_ratio",
-    "eval_f",
-    "fit_log2_slope",
-    "sweep_lower_bound",
-    "sweep_two_point_rows",
-    "theoretical_bound",
-    "__version__",
-]

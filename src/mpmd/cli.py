@@ -54,14 +54,17 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _load(path: str):
-    try:
-        return load_instance(path)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+class _Main(click.Group):
+    """The error boundary: bad input and unusable files end as ``Error:`` lines."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(mpmd.__version__, prog_name="mpmd")
 def main() -> None:
     """Simulation lab for online minimum-cost perfect matching with delays."""
@@ -80,10 +83,7 @@ def gen() -> None:
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen_lower_bound_cmd(k: int, epsilon: float, eta: float, output: str) -> None:
     """Single-point cascade that forces nested adversarial matches."""
-    try:
-        instance = gen_lower_bound(LowerBoundParams(k=k, epsilon=epsilon, eta=eta))
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    instance = gen_lower_bound(LowerBoundParams(k=k, epsilon=epsilon, eta=eta))
     save_instance(instance, output)
     click.echo(f"wrote {output}: m={instance.size} digest={instance_digest(instance)}")
 
@@ -95,10 +95,7 @@ def gen_lower_bound_cmd(k: int, epsilon: float, eta: float, output: str) -> None
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen_appendix_b_cmd(m: int, delta: float, output: str) -> None:
     """Two-point rows that defeat space-only sphere growth."""
-    try:
-        instance = gen_two_point_rows(TwoPointRowsParams(m=m, delta=delta))
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    instance = gen_two_point_rows(TwoPointRowsParams(m=m, delta=delta))
     save_instance(instance, output)
     click.echo(f"wrote {output}: m={instance.size} digest={instance_digest(instance)}")
 
@@ -119,18 +116,13 @@ def gen_random_cmd(
     """Seeded random instance."""
     kind, _, arg = metric.partition(":")
     kwargs: dict = {}
-    try:
-        if kind == "euclidean":
-            kwargs["dim"] = int(arg) if arg else 2
-        elif kind == "finite":
-            kwargs["n_points"] = int(arg) if arg else 4
-        elif kind != "line" or arg:
-            raise ValueError(f"unknown metric argument {metric!r}")
-        instance = gen_random(
-            m, seed, metric=kind, horizon=horizon, bipartite=bipartite, **kwargs
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    if kind == "euclidean":
+        kwargs["dim"] = int(arg) if arg else 2
+    elif kind == "finite":
+        kwargs["n_points"] = int(arg) if arg else 4
+    elif kind != "line" or arg:
+        raise ValueError(f"unknown metric argument {metric!r}")
+    instance = gen_random(m, seed, metric=kind, horizon=horizon, bipartite=bipartite, **kwargs)
     save_instance(instance, output)
     click.echo(f"wrote {output}: m={instance.size} digest={instance_digest(instance)}")
 
@@ -155,11 +147,8 @@ def _records_csv(report, meta: dict) -> str:
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write to a file instead of stdout.")
 def run_cmd(instance_path: str, policy: str, epsilon: float, fmt: str, output: str | None) -> None:
     """Simulate one policy over an instance file."""
-    instance = _load(instance_path)
-    try:
-        report = simulate(instance, Policy(kind=policy, epsilon=epsilon))
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    instance = load_instance(instance_path)
+    report = simulate(instance, Policy(kind=policy, epsilon=epsilon))
     meta = _meta(policy=policy, epsilon=epsilon, instance=instance_digest(instance))
     if fmt == "csv":
         _emit(_records_csv(report, meta), output)
@@ -179,14 +168,11 @@ def run_cmd(instance_path: str, policy: str, epsilon: float, fmt: str, output: s
               help="Use the color-crossing oracle (default: instance's own variant).")
 def opt_cmd(instance_path: str, force_bipartite: bool) -> None:
     """Exact offline optimum of an instance file."""
-    instance = _load(instance_path)
-    try:
-        if force_bipartite or instance.bipartite:
-            matching = opt_bipartite(instance)
-        else:
-            matching = opt_general(instance)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    instance = load_instance(instance_path)
+    if force_bipartite or instance.bipartite:
+        matching = opt_bipartite(instance)
+    else:
+        matching = opt_general(instance)
     payload = {
         "meta": _meta(instance=instance_digest(instance)),
         "m": instance.size,
@@ -202,14 +188,22 @@ def opt_cmd(instance_path: str, force_bipartite: bool) -> None:
 @click.option("--epsilon", type=float, required=True)
 def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
     """Competitive ratios of one policy run against the exact optimum."""
-    instance = _load(instance_path)
-    try:
-        report = compute_ratio(instance, Policy(kind=policy, epsilon=epsilon))
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    instance = load_instance(instance_path)
+    report = compute_ratio(instance, Policy(kind=policy, epsilon=epsilon))
     payload = {"meta": _meta(instance=instance_digest(instance))}
     payload.update(report.to_dict())
     click.echo(json.dumps(payload, indent=2))
+
+
+def _parse_m_list(ctx, param, value: str) -> list[int]:
+    """Comma-separated integer request counts; the family checks their range."""
+    ms = []
+    for tok in filter(None, (tok.strip() for tok in value.split(","))):
+        try:
+            ms.append(int(tok))
+        except ValueError:
+            raise click.BadParameter(f"{tok!r} is not an integer") from None
+    return ms
 
 
 @main.command("sweep")
@@ -221,7 +215,7 @@ def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
 @click.option("--k-max", type=int, default=10, show_default=True,
               help=f"lower-bound only; at most {LOWER_BOUND_K_MAX}.")
 @click.option("--eta", type=float, default=1e-6, show_default=True, help="lower-bound only.")
-@click.option("--m-list", default="16,32,64,128", show_default=True,
+@click.option("--m-list", default="16,32,64,128", show_default=True, callback=_parse_m_list,
               help=f"appendix-b only; comma-separated request counts, each at most "
                    f"{REQUEST_COUNT_MAX}.")
 @click.option("--delta", type=float, default=None,
@@ -234,26 +228,22 @@ def sweep_cmd(
     k_min: int,
     k_max: int,
     eta: float,
-    m_list: str,
+    m_list: list[int],
     delta: float | None,
     output: str | None,
 ) -> None:
     """Ratio growth of a policy over an adversarial family."""
-    try:
-        if family == "lower-bound":
-            result = sweep_lower_bound(
-                range(k_min, k_max + 1),
-                epsilon,
-                eta=eta,
-                policy_kind=policy or HEMISPHERE,
-            )
-        else:
-            ms = [int(tok) for tok in m_list.split(",") if tok.strip()]
-            result = sweep_two_point_rows(
-                ms, epsilon, delta=delta, policy_kind=policy or NOTIME_MIN
-            )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    if family == "lower-bound":
+        result = sweep_lower_bound(
+            range(k_min, k_max + 1),
+            epsilon,
+            eta=eta,
+            policy_kind=policy or HEMISPHERE,
+        )
+    else:
+        result = sweep_two_point_rows(
+            m_list, epsilon, delta=delta, policy_kind=policy or NOTIME_MIN
+        )
     meta = _meta(
         family=result.family,
         policy=result.policy_kind,
@@ -279,10 +269,7 @@ def sweep_cmd(
 @click.option("--epsilon", type=float, required=True)
 def bound_cmd(m: int, epsilon: float) -> None:
     """Theoretical offline-ratio bound 2/f(m) at gamma = 3 + epsilon."""
-    try:
-        value = theoretical_bound(m, epsilon)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    value = theoretical_bound(m, epsilon)
     click.echo(json.dumps({"m": m, "epsilon": epsilon, "bound_2_over_f": value}))
 
 

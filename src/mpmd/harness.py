@@ -292,9 +292,10 @@ def sweep_two_point_rows(
 ) -> SweepResult:
     """Run the policy over the two-point rows for each m; delta defaults to 1/m."""
     policy = Policy(kind=policy_kind, epsilon=epsilon)
-    # Every m is checked before any instance is built.
+    # Every m is checked before any instance is built.  The params reject an
+    # m of 0 for its m, so max() only keeps its default delta from dividing by 0.
     params = [
-        TwoPointRowsParams(m=m, delta=delta if delta is not None else 1.0 / m, epsilon=epsilon)
+        TwoPointRowsParams(m=m, delta=1.0 / max(m, 1) if delta is None else delta, epsilon=epsilon)
         for m in sorted(m_values)
     ]
     rows = [_sweep_point("appendix-b", gen_two_point_rows(p), policy) for p in params]

@@ -134,12 +134,6 @@ class MetricSpace:
         """Position of each named point of a finite space, by name."""
         return {name: k for k, name in enumerate(self.points)}
 
-    def index(self, name: str) -> int:
-        try:
-            return self.points.index(name)
-        except ValueError:
-            raise ValueError(f"unknown point name {name!r}") from None
-
 
 @dataclass(frozen=True)
 class TimedPoint:

@@ -177,8 +177,6 @@ def opt_general(instance: Instance) -> Matching:
     """
     requests = sorted(instance.requests, key=lambda r: r.id)
     m = len(requests)
-    if m % 2 != 0:
-        raise ValueError("request count must be even")
     if m > GENERAL_OPT_MAX:
         raise ValueError(
             f"general exact solver is guarded at {GENERAL_OPT_MAX} requests, got {m}"
@@ -213,8 +211,6 @@ def opt_bipartite(instance: Instance) -> Matching:
         raise ValueError("bipartite oracle requires a bipartite instance")
     zeros = sorted((r for r in instance.requests if r.color == 0), key=lambda r: r.id)
     ones = sorted((r for r in instance.requests if r.color == 1), key=lambda r: r.id)
-    if len(zeros) != len(ones):
-        raise ValueError("bipartite colors are imbalanced")
     if not zeros:
         return Matching(pairs=(), weight=0.0)
     cost = _augmented_matrix(instance.space, zeros, ones)
@@ -236,8 +232,6 @@ def brute_force_opt(instance: Instance) -> Matching:
         raise ValueError(
             f"brute-force oracle is guarded at {BRUTE_FORCE_MAX} requests, got {m}"
         )
-    if m % 2 != 0:
-        raise ValueError("request count must be even")
     if m == 0:
         return Matching(pairs=(), weight=0.0)
     w = _augmented_matrix(instance.space, requests).tolist()

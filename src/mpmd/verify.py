@@ -1,22 +1,29 @@
 """Cross-module invariant suite over seeded random instances and both families.
 
-Each check returns per-case pass/fail tallies; the CLI turns a non-empty
-failure count into a nonzero exit status.  The checks mirror the structural
-identities the policies satisfy:
+Each check records pass/fail counts per case in a ``Tally``; the CLI turns a
+failure into a nonzero exit status.  Each invariant is written once, in the
+check named beside it, and the tests check through these functions too:
 
-* cost scaling: a hemisphere run's online cost equals (1 + 2/eps) times its
-  offline weight;
-* feasibility and determinism of every simulation;
-* the last two matched pairs obey the (1 + eps) proximity inequalities, with
-  the color-conditioned variant on bipartite runs;
-* the exact oracles agree with brute force, realize online at exactly their
-  weight, and lower-bound every policy's offline weight;
-* alternating-cycle decompositions are well formed, bound the weight ratio
-  by the worst cycle, and re-simulate to the same edges cycle by cycle;
-* single-cycle bipartite unions show the alternating color pattern on the
-  last two pairs;
-* the recurrence table and both adversarial families reproduce their
-  closed-form values.
+* feasibility, perfect cover and determinism of a run: ``check_run_basics``;
+* a hemisphere run's online cost is (1 + 2/eps) times its offline weight:
+  ``check_cost_scaling``;
+* the last two pairs obey the (1 + eps) proximity inequalities, color
+  conditioned on bipartite runs: ``check_last_pair_inequality``;
+* the exact oracles agree with brute force and realize online at exactly
+  their weight (``check_oracles``) and lower-bound every policy's matching
+  (``check_optimality_lower_bound``);
+* ``check_cycles`` runs every cycle invariant of a hemisphere run: the
+  alternating cycles are well formed and bound the weight ratio by the worst
+  cycle (``check_decomposition``), each re-simulates to its own edges
+  (``check_restriction``), the offline ratio is at most 2/f(m)
+  (``check_recurrence_bound``), and on bipartite runs optimal edges and
+  cycles alternate colors (``check_bipartite_colors``) and a single cycle
+  shows the color pattern of the last two pairs
+  (``check_single_cycle_color_pattern``);
+* the recurrence table (``check_recurrence_table``) and closed form
+  (``check_recurrence_closed_form``), both adversarial families
+  (``check_lower_bound_family``, ``check_two_point_rows_family``) and the
+  file format (``check_io_roundtrip``) reproduce their stated values.
 """
 
 from __future__ import annotations
@@ -111,10 +118,6 @@ class Tally:
 
 def _rel_close(a: float, b: float, rel: float = REL_TOL) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
-
-
-def _pairs_of(report: RunReport) -> set[tuple[int, int]]:
-    return {(min(r.p, r.q), max(r.p, r.q)) for r in report.records}
 
 
 def check_run_basics(tally: Tally, instance: Instance, report: RunReport, label: str) -> None:
@@ -281,23 +284,15 @@ def check_single_cycle_color_pattern(
     """
     if len(decomposition.cycles) != 1 or len(report.records) < 2:
         return
-    by_id = {r.id: r for r in instance.requests}
     (a, b), (x, y) = _last_two_oriented(instance, report)
     cycle = decomposition.cycles[0].vertices
     n = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
-    # Walk from a away from b; the first endpoint of the last pair met is c.
+    # Walking from a away from b, the first endpoint of the last pair met is c.
     ia, ib = pos[a.id], pos[b.id]
     step = 1 if (ia + 1) % n != ib else -1
-    c_id = None
-    i = ia
-    for _ in range(n):
-        i = (i + step) % n
-        if cycle[i] in (x.id, y.id):
-            c_id = cycle[i]
-            break
-    c = by_id[c_id]
-    d = y if c_id == x.id else x
+    c = min((x, y), key=lambda r: (pos[r.id] - ia) * step % n)
+    d = y if c is x else x
     tally.check("single_cycle_color_pattern").record(
         c.color == b.color and d.color == a.color,
         f"{label}: single-cycle color pattern violated",
@@ -348,6 +343,56 @@ def check_oracles(
     return opt_g, opt_b
 
 
+def check_optimality_lower_bound(tally: Tally, alg: Matching, opt: Matching, label: str) -> None:
+    """No policy's matching weighs less than the exact optimum of its variant."""
+    tally.check("optimality_lower_bound").record(
+        opt.weight <= alg.weight + REL_TOL * max(alg.weight, 1.0),
+        f"{label}: policy weight beats the optimum",
+    )
+
+
+def check_restriction(
+    tally: Tally, instance: Instance, report: RunReport, decomposition: CycleDecomposition, label: str
+) -> None:
+    """Each cycle's requests, re-simulated alone, reproduce the run's edges inside it."""
+    bipartite = report.policy.kind == HEMISPHERE_BIPARTITE
+    counter = restriction_check(instance, report, decomposition)
+    tally.check("restriction_property_bipartite" if bipartite else "restriction_property").record(
+        counter is None, f"{label}: {counter}"
+    )
+
+
+def check_recurrence_bound(
+    tally: Tally, instance: Instance, report: RunReport, alg: Matching, opt: Matching, label: str
+) -> None:
+    """The run's offline weight is at most 2/f(m) times the optimum, gamma = 3 + eps."""
+    bound = theoretical_bound(max(instance.size, 2), report.policy.epsilon)
+    tally.check("recurrence_bound").record(
+        alg.weight <= bound * opt.weight + ABS_TOL, f"{label}: offline ratio exceeds 2/f(m)"
+    )
+
+
+def check_cycles(
+    tally: Tally, instance: Instance, report: RunReport, alg: Matching, opt: Matching, label: str
+) -> None:
+    """Every cycle invariant of a hemisphere run against its variant's optimum.
+
+    Decomposes the union of ``alg`` (the run's matching) and ``opt`` into
+    alternating cycles and checks the decomposition and the restriction
+    property; bipartite runs add the color patterns, monochromatic runs the
+    2/f(m) bound.
+    """
+    decomposition = cycle_decompose(alg, opt, instance)
+    check_decomposition(tally, instance, alg, opt, decomposition, label)
+    bipartite = report.policy.kind == HEMISPHERE_BIPARTITE
+    if bipartite:
+        check_bipartite_colors(tally, instance, opt, decomposition, label)
+        check_single_cycle_color_pattern(tally, instance, report, decomposition, label)
+    check_restriction(tally, instance, report, decomposition, label)
+    if not bipartite:
+        check_recurrence_bound(tally, instance, report, alg, opt, label)
+
+
 def verify_instance(
     tally: Tally,
     instance: Instance,
@@ -373,34 +418,11 @@ def verify_instance(
             if opt is None:
                 continue
             alg = matching_from_records(report.records, instance)
-            tally.check("optimality_lower_bound").record(
-                opt.weight <= alg.weight + REL_TOL * max(alg.weight, 1.0),
-                f"{run_label}: policy weight beats the optimum",
-            )
-            if kind == HEMISPHERE and not instance.bipartite:
-                decomposition = cycle_decompose(alg, opt, instance)
-                check_decomposition(tally, instance, alg, opt, decomposition, run_label)
-                counter = restriction_check(instance, report, decomposition)
-                tally.check("restriction_property").record(
-                    counter is None, f"{run_label}: {counter}"
-                )
-                tally.check("recurrence_bound").record(
-                    alg.weight
-                    <= (theoretical_bound(max(instance.size, 2), eps) * opt.weight)
-                    + ABS_TOL,
-                    f"{run_label}: offline ratio exceeds 2/f(m)",
-                )
-            if kind == HEMISPHERE_BIPARTITE:
-                decomposition = cycle_decompose(alg, opt, instance)
-                check_decomposition(tally, instance, alg, opt, decomposition, run_label)
-                check_bipartite_colors(tally, instance, opt, decomposition, run_label)
-                check_single_cycle_color_pattern(
-                    tally, instance, report, decomposition, run_label
-                )
-                counter = restriction_check(instance, report, decomposition)
-                tally.check("restriction_property_bipartite").record(
-                    counter is None, f"{run_label}: {counter}"
-                )
+            check_optimality_lower_bound(tally, alg, opt, run_label)
+            # A monochromatic run's cycles on a bipartite instance need not
+            # balance the colors, which a bipartite sub-instance requires.
+            if kind == HEMISPHERE_BIPARTITE or (kind == HEMISPHERE and not instance.bipartite):
+                check_cycles(tally, instance, report, alg, opt, run_label)
 
 
 def check_recurrence_table(tally: Tally, gammas=(2.5, 3.0, 4.0, 5.0), k_max: int = 64) -> None:
@@ -462,7 +484,8 @@ def check_lower_bound_family(
                 LowerBoundParams(k=k, epsilon=eps, eta=eta)
             )
             tally.check("cascade_pair_list").record(
-                tuple(sorted(_pairs_of(report))) == expected_pairs,
+                tuple(sorted((min(r.p, r.q), max(r.p, r.q)) for r in report.records))
+                == expected_pairs,
                 f"k={k} eps={eps}: adversarial pair list not reproduced",
             )
             tally.check("cascade_weight").record(

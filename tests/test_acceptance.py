@@ -17,21 +17,24 @@ from mpmd.harness import eval_f, sweep_lower_bound, sweep_two_point_rows, theore
 from mpmd.instances import (
     LowerBoundParams,
     TwoPointRowsParams,
-    expected_lower_bound_result,
     gen_lower_bound,
     gen_random,
     gen_two_point_rows,
 )
-from mpmd.metric import augmented_distance
-from mpmd.oracle import (
-    brute_force_opt,
-    cycle_decompose,
-    matching_from_records,
-    opt_bipartite,
-    opt_general,
-    realize_online,
-    restriction_check,
+from mpmd.oracle import matching_from_records, opt_bipartite, opt_general
+from mpmd.verify import (
+    Tally,
+    check_cost_scaling,
+    check_cycles,
+    check_last_pair_inequality,
+    check_lower_bound_family,
+    check_oracles,
+    check_recurrence_bound,
+    check_recurrence_table,
+    random_suite,
 )
+
+from helpers import assert_all_ok
 
 EPS_GRID = (0.1, 0.5, 1.0, 2.0)
 
@@ -42,83 +45,49 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {number}] {status}  {name}{suffix}")
 
 
-def _random_instance(idx: int, max_m: int, *, seed_base: int = 31_000):
-    m = 2 * (1 + idx % (max_m // 2))
-    metric = ("line", "euclidean", "finite")[idx % 3]
-    bipartite = idx % 3 == 2
-    return gen_random(
-        m, seed_base + idx, metric=metric, bipartite=bipartite
-    )
+def _report_tally(number: int, name: str, tally: Tally) -> None:
+    """Print the criterion line from the tally and assert every check passed."""
+    counts = ", ".join(f"{c.name} {c.passed}/{c.passed + c.failed}" for c in tally.results())
+    _report(number, name, tally.all_ok, counts)
+    assert_all_ok(tally)
 
 
 def test_criterion_1_cost_scaling_identity():
     """Online cost equals (1 + 2/eps) times offline weight on every hemisphere run."""
-    worst = 0.0
-    runs = 0
-    cases = []
-    for idx in range(200):
-        cases.append(_random_instance(idx, 12))
-    for eps in EPS_GRID:
-        for k in range(1, 9):
-            cases.append(gen_lower_bound(LowerBoundParams(k=k, epsilon=eps)))
-    for m in (8, 16, 32, 64):
-        cases.append(gen_two_point_rows(TwoPointRowsParams(m=m, delta=1.0 / m)))
-    for inst in cases:
+    cases = random_suite(200, 12, seed=31_000)
+    cases += [
+        (f"cascade k={k} eps={eps}", gen_lower_bound(LowerBoundParams(k=k, epsilon=eps)))
+        for eps in EPS_GRID
+        for k in range(1, 9)
+    ]
+    cases += [
+        (f"rows m={m}", gen_two_point_rows(TwoPointRowsParams(m=m, delta=1.0 / m)))
+        for m in (8, 16, 32, 64)
+    ]
+    tally = Tally()
+    for label, inst in cases:
         for eps in EPS_GRID:
-            kinds = [HEMISPHERE] + ([HEMISPHERE_BIPARTITE] if inst.bipartite else [])
-            for kind in kinds:
+            for kind in [HEMISPHERE] + ([HEMISPHERE_BIPARTITE] if inst.bipartite else []):
                 report = simulate(inst, Policy(kind, eps))
-                expected = (1.0 + 2.0 / eps) * report.offline_weight
-                if expected != 0.0:
-                    worst = max(worst, abs(report.online_cost - expected) / abs(expected))
-                else:
-                    worst = max(worst, abs(report.online_cost))
-                runs += 1
-    ok = worst <= 1e-9
-    _report(1, "cost scaling identity", ok, f"{runs} runs, worst rel err {worst:.3e}")
-    assert ok
+                check_cost_scaling(tally, report, f"{label} {kind} eps={eps}")
+    _report_tally(1, "cost scaling identity", tally)
 
 
 def test_criterion_2_oracle_equivalence():
     """Subset DP equals brute force, and realizing the optimum costs its weight."""
-    weight_mismatches = 0
-    realize_mismatches = 0
+    tally = Tally()
     for idx in range(200):
         m = 2 * (1 + idx % 5)
         metric = ("line", "euclidean", "finite")[idx % 3]
-        inst = gen_random(m, 45_000 + idx, metric=metric)
-        opt = opt_general(inst)
-        brute = brute_force_opt(inst)
-        if opt.weight != brute.weight:
-            weight_mismatches += 1
-        if realize_online(opt, inst) != opt.weight:
-            realize_mismatches += 1
-    ok = weight_mismatches == 0 and realize_mismatches == 0
-    _report(
-        2,
-        "oracle equivalence",
-        ok,
-        f"200 instances, {weight_mismatches} weight and "
-        f"{realize_mismatches} realization mismatches",
-    )
-    assert ok
+        check_oracles(tally, gen_random(m, 45_000 + idx, metric=metric), f"instance {idx}")
+    _report_tally(2, "oracle equivalence", tally)
 
 
 def test_criterion_3_cascade_reproduction():
     """The cascade family reproduces its adversarial pair list and weight."""
-    bad = []
-    for k in range(1, 9):
-        params = LowerBoundParams(k=k, epsilon=1.0, eta=1e-6)
-        report = simulate(gen_lower_bound(params), Policy(HEMISPHERE, 1.0))
-        produced = tuple(sorted((min(r.p, r.q), max(r.p, r.q)) for r in report.records))
-        expected_pairs, expected_weight = expected_lower_bound_result(params)
-        if produced != expected_pairs:
-            bad.append(f"k={k}: pair list differs")
-        elif abs(report.offline_weight - expected_weight) > 1e-6 * expected_weight:
-            bad.append(f"k={k}: weight off by more than 1e-6 relative")
-    ok = not bad
-    _report(3, "cascade family reproduction", ok, "; ".join(bad) or "k=1..8 exact")
-    assert ok, bad
+    tally = Tally()
+    check_lower_bound_family(tally, k_values=range(1, 9), eps_list=(1.0,), eta=1e-6)
+    _report_tally(3, "cascade family reproduction", tally)
 
 
 def test_criterion_4_cascade_growth_rate():
@@ -147,8 +116,7 @@ def test_criterion_4_cascade_growth_rate():
 
 def test_criterion_5_recurrence_upper_bound():
     """Offline ratio never exceeds 2/f(m) on seeded instances (gamma = 3 + eps)."""
-    violations = 0
-    checked = 0
+    tally = Tally()
     for idx in range(1000):
         m = 2 * (1 + idx % 6)
         metric = ("line", "euclidean", "finite")[idx % 3]
@@ -156,41 +124,20 @@ def test_criterion_5_recurrence_upper_bound():
         opt = opt_general(inst)
         for eps in (0.5, 1.0, 2.0):
             report = simulate(inst, Policy(HEMISPHERE, eps))
-            bound = theoretical_bound(max(inst.size, 2), eps)
-            checked += 1
-            if opt.weight > 0 and report.offline_weight / opt.weight > bound + 1e-9:
-                violations += 1
-    ok = violations == 0
-    _report(
-        5,
-        "offline ratio upper bound",
-        ok,
-        f"{checked} runs over 1000 instances, {violations} violations",
-    )
-    assert ok
+            alg = matching_from_records(report.records, inst)
+            check_recurrence_bound(tally, inst, report, alg, opt, f"instance {idx} eps={eps}")
+    _report_tally(5, "offline ratio upper bound", tally)
 
 
 def test_criterion_6_recurrence_lower_bound():
     """f(2k) >= (2/gamma)**log2(k), with equality at gamma=4 on powers of two."""
-    worst_slack = math.inf
-    equality_ok = True
-    for gamma in (2.5, 3.0, 4.0, 5.0):
-        table = eval_f(1024, gamma)
-        for k in range(1, 513):
-            slack = table.value(2 * k) - (2.0 / gamma) ** math.log2(k)
-            worst_slack = min(worst_slack, slack)
+    tally = Tally()
+    check_recurrence_table(tally, gammas=(2.5, 3.0, 4.0, 5.0), k_max=512)
     table4 = eval_f(1024, 4.0)
     for k in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
-        if table4.value(2 * k) != 0.5 ** math.log2(k):
-            equality_ok = False
-    ok = worst_slack >= -1e-12 and equality_ok
-    _report(
-        6,
-        "recurrence table lower bound",
-        ok,
-        f"worst slack {worst_slack:.3e}, power-of-two equality {equality_ok}",
-    )
-    assert ok
+        equal = table4.value(2 * k) == 0.5 ** math.log2(k)
+        tally.check("f_power_of_two_equality").record(equal, f"gamma=4: f({2 * k}) != 2**-log2({k})")
+    _report_tally(6, "recurrence table lower bound", tally)
 
 
 def test_criterion_7_two_point_rows_separation():
@@ -221,109 +168,21 @@ def test_criterion_7_two_point_rows_separation():
 
 def test_criterion_8_structural_invariants():
     """Cycle structure, restriction property, and last-pair inequalities."""
-    restriction_failures = 0
-    structure_failures = 0
-    last_pair_failures = 0
-    bipartite_failures = 0
-    single_cycle_cases = 0
-    single_cycle_failures = 0
-
-    cases = [_random_instance(idx, 12, seed_base=90_000) for idx in range(200)]
+    cases = random_suite(200, 12, seed=90_000)
     # Small bipartite instances disagree with their optimum often enough to
     # exercise the single-cycle color pattern densely.
-    cases.extend(
-        gen_random(4 + 2 * (idx % 3), 91_000 + idx, metric="euclidean", bipartite=True)
-        for idx in range(120)
-    )
-    for inst in cases:
-        ids = sorted(r.id for r in inst.requests)
-        colors = {r.id: r.color for r in inst.requests}
+    for idx in range(120):
+        inst = gen_random(4 + 2 * (idx % 3), 91_000 + idx, metric="euclidean", bipartite=True)
+        cases.append((f"bipartite[{idx}]", inst))
+    tally = Tally()
+    for case, inst in cases:
         kind = HEMISPHERE_BIPARTITE if inst.bipartite else HEMISPHERE
         opt = opt_bipartite(inst) if inst.bipartite else opt_general(inst)
         for eps in (0.5, 1.0, 2.0):
             report = simulate(inst, Policy(kind, eps))
+            label = f"{case} {kind} eps={eps}"
+            check_last_pair_inequality(tally, inst, report, label)
             alg = matching_from_records(report.records, inst)
-            decomposition = cycle_decompose(alg, opt, inst)
-
-            seen = []
-            valid = True
-            for cycle in decomposition.cycles:
-                seen.extend(cycle.vertices)
-                if len(cycle.vertices) % 2 != 0:
-                    valid = False
-                alg_pairs = set(alg.pairs)
-                opt_pairs = set(opt.pairs)
-                if any((min(u, v), max(u, v)) not in alg_pairs for u, v in cycle.a_edges()):
-                    valid = False
-                if any((min(u, v), max(u, v)) not in opt_pairs for u, v in cycle.b_edges()):
-                    valid = False
-            if sorted(seen) != ids or not valid:
-                structure_failures += 1
-
-            if restriction_check(inst, report, decomposition) is not None:
-                restriction_failures += 1
-
-            if len(report.records) >= 2:
-                by_id = {r.id: r for r in inst.requests}
-                a = by_id[report.records[-2].p]
-                b = by_id[report.records[-2].q]
-                x = by_id[report.records[-1].p]
-                y = by_id[report.records[-1].q]
-                d_ab = augmented_distance(inst.space, a.point, b.point)
-                if not inst.bipartite:
-                    cross = min(
-                        augmented_distance(inst.space, u.point, v.point)
-                        for u in (a, b)
-                        for v in (x, y)
-                    )
-                    if d_ab > (1.0 + eps) * cross + 1e-9:
-                        last_pair_failures += 1
-                else:
-                    c, d = (y, x) if x.color == a.color else (x, y)
-                    if (
-                        d_ab
-                        > (1.0 + eps)
-                        * augmented_distance(inst.space, a.point, c.point)
-                        + 1e-9
-                        or d_ab
-                        > (1.0 + eps)
-                        * augmented_distance(inst.space, b.point, d.point)
-                        + 1e-9
-                    ):
-                        bipartite_failures += 1
-                    if len(decomposition.cycles) == 1:
-                        single_cycle_cases += 1
-                        cycle = decomposition.cycles[0].vertices
-                        n = len(cycle)
-                        pos = {v: i for i, v in enumerate(cycle)}
-                        step = 1 if (pos[a.id] + 1) % n != pos[b.id] else -1
-                        i = pos[a.id]
-                        c_id = None
-                        for _ in range(n):
-                            i = (i + step) % n
-                            if cycle[i] in (x.id, y.id):
-                                c_id = cycle[i]
-                                break
-                        d_id = y.id if c_id == x.id else x.id
-                        if not (
-                            colors[c_id] == b.color and colors[d_id] == a.color
-                        ):
-                            single_cycle_failures += 1
-
-    ok = (
-        structure_failures == 0
-        and restriction_failures == 0
-        and last_pair_failures == 0
-        and bipartite_failures == 0
-        and single_cycle_failures == 0
-        and single_cycle_cases > 0
-    )
-    _report(
-        8,
-        "structural invariants",
-        ok,
-        f"structure {structure_failures}, restriction {restriction_failures}, "
-        f"last-pair {last_pair_failures}, bipartite {bipartite_failures}, "
-        f"single-cycle failures {single_cycle_failures} of {single_cycle_cases} cases",
-    )
-    assert ok
+            check_cycles(tally, inst, report, alg, opt, label)
+    _report_tally(8, "structural invariants", tally)
+    assert tally.check("single_cycle_color_pattern").passed > 0

@@ -271,3 +271,30 @@ def test_request_count_cap_is_in_the_help(runner):
         result = invoke(runner, *args, "--help")
         assert result.exit_code == 0
         assert str(REQUEST_COUNT_MAX) in result.output
+
+
+@pytest.mark.parametrize(
+    "m_list, message",
+    [("0", "m must be >= 8, got 0"), ("16,abc", "--m-list"), ("16, 2.5", "--m-list")],
+)
+def test_sweep_rejects_bad_m_list(runner, m_list, message):
+    result = invoke(runner, "sweep", "--family", "appendix-b", "--m-list", m_list)
+    assert_usage_error(result, message)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "random", "--m", 4, "--seed", 1],
+        ["run", "-i", "{instance}", "--policy", "hemisphere", "--epsilon", 1],
+        ["sweep", "--family", "appendix-b", "--m-list", "8,16"],
+    ],
+)
+def test_unwritable_output_path_is_an_error(runner, tmp_path, args):
+    instance = tmp_path / "i.json"
+    save_instance(gen_random(4, 1, metric="line"), instance)
+    output = tmp_path / "no-such-dir" / "out"
+    args = [str(a).format(instance=instance) for a in args]
+    result = invoke(runner, *args, "-o", output)
+    assert_usage_error(result, "No such file or directory")
+    assert not output.parent.exists()

@@ -34,12 +34,9 @@ from mpmd.instances import (
 )
 from mpmd.engine import _pair_schedule, _sorted_events
 from mpmd.metric import MetricSpace, TimedPoint, distance
-from mpmd.verify import (
-    Tally,
-    check_cost_scaling,
-    check_last_pair_inequality,
-    check_run_basics,
-)
+from mpmd.verify import Tally, check_cost_scaling, check_last_pair_inequality, check_run_basics
+
+from helpers import assert_all_ok
 
 LINE = MetricSpace.line()
 
@@ -535,11 +532,6 @@ def test_simulation_agrees_with_rescan_reference(params):
         assert engine_pairs == reference_simulate(inst, policy)
 
 
-def _assert_no_failed_case(tally):
-    failed = {c.name: c.details for c in tally.results() if c.failed}
-    assert not failed, failed
-
-
 @given(params=random_runs)
 @settings(max_examples=150, deadline=None)
 def test_run_invariants(params):
@@ -555,7 +547,7 @@ def test_run_invariants(params):
         check_run_basics(tally, inst, report, kind)
         # The check allows delays down to -1e-9; the engine's are never negative.
         assert all(rec.delay_p >= 0.0 and rec.delay_q >= 0.0 for rec in report.records)
-    _assert_no_failed_case(tally)
+    assert_all_ok(tally)
 
 
 @given(params=random_runs)
@@ -567,7 +559,7 @@ def test_hemisphere_cost_scaling_identity(params):
     tally = Tally()
     for kind in kinds:
         check_cost_scaling(tally, simulate(inst, Policy(kind, eps)), kind)
-    _assert_no_failed_case(tally)
+    assert_all_ok(tally)
 
 
 @given(params=random_runs)
@@ -577,7 +569,7 @@ def test_last_pair_inequality(params):
     inst = gen_random(m, seed, metric=metric, bipartite=bipartite)
     tally = Tally()
     check_last_pair_inequality(tally, inst, simulate(inst, Policy(HEMISPHERE, eps)), HEMISPHERE)
-    _assert_no_failed_case(tally)
+    assert_all_ok(tally)
 
 
 def _record_bits(rec, new_id=None):

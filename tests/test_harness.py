@@ -22,6 +22,9 @@ from mpmd.instances import (
     gen_two_point_rows,
 )
 from mpmd.oracle import opt_general
+from mpmd.verify import check_recurrence_table
+
+from helpers import assert_checks_pass
 
 
 class TestEvalF:
@@ -41,12 +44,7 @@ class TestEvalF:
 
     @pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0, 5.0])
     def test_lower_bound_and_monotonicity(self, gamma):
-        table = eval_f(256, gamma)
-        values = table.values
-        assert values[0] == 1.0
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        for k in range(1, 129):
-            assert table.value(2 * k) >= (2.0 / gamma) ** math.log2(k) - 1e-12
+        assert_checks_pass(check_recurrence_table, gammas=(gamma,), k_max=128)
 
     def test_rejects_gamma_at_most_two(self):
         with pytest.raises(ValueError, match="gamma"):

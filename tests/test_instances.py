@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpmd.engine import HEMISPHERE, Policy, simulate
+from mpmd.engine import HEMISPHERE_BIPARTITE, Policy, simulate
 from mpmd.instances import (
     LOWER_BOUND_K_MAX,
     REQUEST_COUNT_MAX,
@@ -26,6 +26,9 @@ from mpmd.instances import (
     save_instance,
 )
 from mpmd.metric import validate_metric
+from mpmd.verify import Tally, check_lower_bound_family, check_recurrence_closed_form
+
+from helpers import assert_checks_pass
 
 
 class TestRecurrence:
@@ -49,11 +52,7 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0])
     def test_closed_form_agreement_to_depth_40(self, eps):
-        for i in range(1, 41):
-            a, b = recurrence_ab(i, eps)
-            a_cf, b_cf = recurrence_ab_closed_form(i, eps)
-            assert a == pytest.approx(a_cf, rel=1e-12)
-            assert b == pytest.approx(b_cf, rel=1e-12)
+        assert_checks_pass(check_recurrence_closed_form, eps_list=(eps,), i_max=40)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -133,18 +132,11 @@ class TestExpectedCascadeResult:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", range(1, 11))
     def test_simulation_reproduces_pairs_up_to_k10(self, k, eps):
-        params = LowerBoundParams(k=k, epsilon=eps, eta=1e-6)
-        report = simulate(gen_lower_bound(params), Policy(HEMISPHERE, eps))
-        produced = tuple(sorted((min(r.p, r.q), max(r.p, r.q)) for r in report.records))
-        expected_pairs, expected_weight = expected_lower_bound_result(params)
-        assert produced == expected_pairs
-        assert report.offline_weight == pytest.approx(expected_weight, rel=1e-6)
+        assert_checks_pass(check_lower_bound_family, k_values=(k,), eps_list=(eps,), eta=1e-6)
 
     def test_bipartite_cascade_alternates_colors_and_matches_identically(self):
         # Alternating colors keep every adversarial pair color-crossing, so
         # the bipartite policy reproduces the monochromatic matching.
-        from mpmd.engine import HEMISPHERE_BIPARTITE
-
         for k in range(1, 7):
             params = LowerBoundParams(k=k, epsilon=1.0)
             colored = gen_lower_bound(params, bipartite=True)
@@ -160,14 +152,12 @@ class TestExpectedCascadeResult:
     @pytest.mark.parametrize("eta", [1e-7, 1e-6, 1e-4, 9e-4])
     def test_reproduction_across_eta_range(self, eta):
         # Any perturbation in (0, 1e-3) separates the firing-time ties far
-        # beyond the 1e-9 event tolerance.
-        for k in range(2, 7):
-            params = LowerBoundParams(k=k, epsilon=2.0, eta=eta)
-            report = simulate(gen_lower_bound(params), Policy(HEMISPHERE, 2.0))
-            produced = tuple(
-                sorted((min(r.p, r.q), max(r.p, r.q)) for r in report.records)
-            )
-            assert produced == expected_lower_bound_result(params)[0]
+        # beyond the 1e-9 event tolerance.  Only the pair list is checked: the
+        # expected weight is taken at eta = 0, over 1e-6 off at the larger eta.
+        tally = Tally()
+        check_lower_bound_family(tally, k_values=range(2, 7), eps_list=(2.0,), eta=eta)
+        pair_list = tally.check("cascade_pair_list")
+        assert (pair_list.passed, pair_list.failed) == (5, 0), pair_list.details
 
 
 class TestTwoPointRows:

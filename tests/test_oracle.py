@@ -34,6 +34,16 @@ from mpmd.oracle import (
     realize_online,
     restriction_check,
 )
+from mpmd.verify import (
+    Tally,
+    check_bipartite_colors,
+    check_cycles,
+    check_decomposition,
+    check_optimality_lower_bound,
+    check_oracles,
+)
+
+from helpers import assert_all_ok, assert_checks_pass
 
 LINE = MetricSpace.line()
 
@@ -518,11 +528,7 @@ class TestBruteForce:
 )
 @settings(max_examples=200, deadline=None)
 def test_oracle_agreement(seed, m, metric):
-    inst = gen_random(m, seed, metric=metric)
-    dp = opt_general(inst)
-    brute = brute_force_opt(inst)
-    assert dp.weight == brute.weight
-    assert dp.pairs == brute.pairs
+    assert_checks_pass(check_oracles, gen_random(m, seed, metric=metric), "instance")
 
 
 @given(
@@ -532,12 +538,12 @@ def test_oracle_agreement(seed, m, metric):
 @settings(max_examples=100, deadline=None)
 def test_bipartite_agreement(seed, m):
     inst = gen_random(m, seed, metric="euclidean", bipartite=True)
-    assignment = opt_bipartite(inst)
-    brute = brute_force_opt(inst)
     # Exact ties may be broken differently; weights agree to rounding.
-    assert assignment.weight == pytest.approx(brute.weight, rel=1e-12)
-    for p, q in assignment.pairs:
-        assert inst.request(p).color != inst.request(q).color
+    assert_checks_pass(check_oracles, inst, "instance")
+    # Decomposed against itself, the optimum's 2-cycles are its own pairs.
+    assignment = opt_bipartite(inst)
+    trivial = cycle_decompose(assignment, assignment, inst)
+    assert_checks_pass(check_bipartite_colors, inst, assignment, trivial, "instance")
 
 
 class TestRealizeOnline:
@@ -569,9 +575,7 @@ class TestRealizeOnline:
 )
 @settings(max_examples=200, deadline=None)
 def test_realize_equals_weight_exactly(seed, m, metric):
-    inst = gen_random(m, seed, metric=metric)
-    matching = opt_general(inst)
-    assert realize_online(matching, inst) == matching.weight
+    assert_checks_pass(check_oracles, gen_random(m, seed, metric=metric), "instance")
 
 
 class TestCycleDecompose:
@@ -615,25 +619,9 @@ def test_cycle_structure_and_length_sums(seed, m, metric, eps):
     alg = matching_from_records(report.records, inst)
     opt = opt_general(inst)
     decomposition = cycle_decompose(alg, opt, inst)
-    seen = []
-    for cycle in decomposition.cycles:
-        assert len(cycle.vertices) % 2 == 0
-        seen.extend(cycle.vertices)
-        for u, v in cycle.a_edges():
-            assert (min(u, v), max(u, v)) in set(alg.pairs)
-        for u, v in cycle.b_edges():
-            assert (min(u, v), max(u, v)) in set(opt.pairs)
-    assert sorted(seen) == sorted(r.id for r in inst.requests)
-    assert sum(c.a_length for c in decomposition.cycles) == pytest.approx(
-        report.offline_weight, rel=1e-9
-    )
-    assert sum(c.b_length for c in decomposition.cycles) == pytest.approx(
-        opt.weight, rel=1e-9
-    )
-    # The weight ratio never beats the worst per-cycle ratio.
-    if opt.weight > 0 and all(c.b_length > 0 for c in decomposition.cycles):
-        worst = max(c.a_length / c.b_length for c in decomposition.cycles)
-        assert alg.weight / opt.weight <= worst + 1e-9
+    assert_checks_pass(check_decomposition, inst, alg, opt, decomposition, "run")
+    a_total = sum(c.a_length for c in decomposition.cycles)
+    assert a_total == pytest.approx(report.offline_weight, rel=1e-9)
 
 
 class TestRestriction:
@@ -678,20 +666,14 @@ def test_bipartite_restriction_and_colors(seed, m, eps):
     inst = gen_random(m, seed, metric="euclidean", bipartite=True)
     report = simulate(inst, Policy(HEMISPHERE_BIPARTITE, eps))
     alg = matching_from_records(report.records, inst)
-    opt = opt_bipartite(inst)
-    decomposition = cycle_decompose(alg, opt, inst)
-    colors = {r.id: r.color for r in inst.requests}
-    for cycle in decomposition.cycles:
-        n = len(cycle.vertices)
-        for i in range(n):
-            assert colors[cycle.vertices[i]] != colors[cycle.vertices[(i + 1) % n]]
-    assert restriction_check(inst, report, decomposition) is None
+    assert_checks_pass(check_cycles, inst, report, alg, opt_bipartite(inst), "run")
 
 
 def test_optimality_lower_bound_on_policies():
+    tally = Tally()
     for seed in range(30):
         inst = gen_random(8 + 2 * (seed % 3), seed, metric="euclidean")
-        opt = opt_general(inst)
-        for kind in (HEMISPHERE,):
-            report = simulate(inst, Policy(kind, 1.0))
-            assert opt.weight <= report.offline_weight + 1e-9
+        report = simulate(inst, Policy(HEMISPHERE, 1.0))
+        alg = matching_from_records(report.records, inst)
+        check_optimality_lower_bound(tally, alg, opt_general(inst), f"seed {seed}")
+    assert_all_ok(tally)
