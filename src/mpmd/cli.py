@@ -60,6 +60,8 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own main() exits quietly when the reader has gone
         except (OSError, ValueError) as exc:
             raise click.ClickException(str(exc)) from None
 

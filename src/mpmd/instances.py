@@ -156,22 +156,24 @@ def gen_lower_bound(params: LowerBoundParams, *, bipartite: bool = False) -> Ins
 def expected_lower_bound_result(
     params: LowerBoundParams,
 ) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Expected hemisphere pair list and its unperturbed offline weight.
+    """Expected hemisphere pair list and its offline weight.
 
-    The policy pairs requests (2,3), (4,5), ..., (m-2,m-1) and finally
-    (1,m); the weight is b_k plus 2**i gaps of size a_{k-1-i} for each
-    i = 0..k-2, all taken at eta = 0.
+    For eta > 0 the policy pairs requests (2,3), (4,5), ..., (m-2,m-1) and
+    finally (1,m).  At eta = 0 those gaps are b_k and 2**i gaps of size
+    a_{k-1-i} for each i = 0..k-2; eta shortens each gap by eta times its
+    size and the span b_k by eta times their total G, so the weight is
+    b_k + (1 - 2 eta) G.  At eta = 0 the firing times tie and the
+    smallest-id rule pairs (1,2), (3,4), ..., the optimum of weight m/2.
     """
-    if params.k == 1:
-        return ((1, 2),), 1.0
     m = 2**params.k
+    if params.eta == 0.0:
+        return tuple((i, i + 1) for i in range(1, m, 2)), m / 2
     pairs = [(1, m)] + [(i, i + 1) for i in range(2, m - 1, 2)]
     _, b_k = recurrence_ab(params.k, params.epsilon)
-    weight = b_k
-    for i in range(params.k - 1):
-        a_i, _ = recurrence_ab(params.k - 1 - i, params.epsilon)
-        weight += (2**i) * a_i
-    return tuple(sorted(pairs)), weight
+    gaps = sum(
+        (2**i) * recurrence_ab(params.k - 1 - i, params.epsilon)[0] for i in range(params.k - 1)
+    )
+    return tuple(sorted(pairs)), b_k + (1.0 - 2.0 * params.eta) * gaps
 
 
 _ROW_POINTS = ("A", "B")

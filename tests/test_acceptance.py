@@ -167,7 +167,7 @@ def test_criterion_7_two_point_rows_separation():
 
 
 def test_criterion_8_structural_invariants():
-    """Cycle structure, restriction property, and last-pair inequalities."""
+    """Cycle structure, restriction property, last-pair inequalities, tie rule."""
     cases = random_suite(200, 12, seed=90_000)
     # Small bipartite instances disagree with their optimum often enough to
     # exercise the single-cycle color pattern densely.
@@ -184,5 +184,7 @@ def test_criterion_8_structural_invariants():
             check_last_pair_inequality(tally, inst, report, label)
             alg = matching_from_records(report.records, inst)
             check_cycles(tally, inst, report, alg, opt, label)
+    # The unperturbed cascade is all ties: only the id rule decides its pairs.
+    check_lower_bound_family(tally, k_values=range(1, 9), eps_list=(0.5, 1.0, 2.0), eta=0.0)
     _report_tally(8, "structural invariants", tally)
     assert tally.check("single_cycle_color_pattern").passed > 0

@@ -1,7 +1,9 @@
 """CLI surface: every subcommand, output formats, and exit codes."""
 
+import errno
 import json
 import time
+from unittest.mock import Mock
 
 import pytest
 from click.testing import CliRunner
@@ -298,3 +300,11 @@ def test_unwritable_output_path_is_an_error(runner, tmp_path, args):
     result = invoke(runner, *args, "-o", output)
     assert_usage_error(result, "No such file or directory")
     assert not output.parent.exists()
+
+
+def test_closed_output_pipe_ends_quietly(runner, monkeypatch):
+    closed_pipe = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    monkeypatch.setattr("mpmd.cli.click.echo", Mock(side_effect=closed_pipe))
+    result = invoke(runner, "sweep", "--family", "appendix-b", "--m-list", "8,16")
+    assert result.exit_code == 1
+    assert "Error" not in result.output

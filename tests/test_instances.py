@@ -26,7 +26,7 @@ from mpmd.instances import (
     save_instance,
 )
 from mpmd.metric import validate_metric
-from mpmd.verify import Tally, check_lower_bound_family, check_recurrence_closed_form
+from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form
 
 from helpers import assert_checks_pass
 
@@ -129,6 +129,11 @@ class TestExpectedCascadeResult:
         assert pairs == ((1, 8), (2, 3), (4, 5), (6, 7))
         assert weight == pytest.approx(8.5)
 
+    def test_unperturbed_cascade_pairs_consecutive_ids(self):
+        pairs, weight = expected_lower_bound_result(LowerBoundParams(k=3, epsilon=1.0, eta=0.0))
+        assert pairs == ((1, 2), (3, 4), (5, 6), (7, 8))
+        assert weight == 4.0
+
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", range(1, 11))
     def test_simulation_reproduces_pairs_up_to_k10(self, k, eps):
@@ -152,12 +157,8 @@ class TestExpectedCascadeResult:
     @pytest.mark.parametrize("eta", [1e-7, 1e-6, 1e-4, 9e-4])
     def test_reproduction_across_eta_range(self, eta):
         # Any perturbation in (0, 1e-3) separates the firing-time ties far
-        # beyond the 1e-9 event tolerance.  Only the pair list is checked: the
-        # expected weight is taken at eta = 0, over 1e-6 off at the larger eta.
-        tally = Tally()
-        check_lower_bound_family(tally, k_values=range(2, 7), eps_list=(2.0,), eta=eta)
-        pair_list = tally.check("cascade_pair_list")
-        assert (pair_list.passed, pair_list.failed) == (5, 0), pair_list.details
+        # beyond the 1e-9 event tolerance.
+        assert_checks_pass(check_lower_bound_family, k_values=range(2, 7), eps_list=(2.0,), eta=eta)
 
 
 class TestTwoPointRows:
