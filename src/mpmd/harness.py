@@ -243,12 +243,15 @@ def reference_matching_weight(family: str, instance: Instance) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _sweep_point(family: str, instance: Instance, policy: Policy) -> SweepRow:
+def _sweep_point(
+    family: str, instance: Instance, policy: Policy
+) -> SweepRow:
     report = simulate(instance, policy)
     exact = instance.size <= GENERAL_OPT_MAX
-    opt_weight = (
-        opt_general(instance).weight if exact else reference_matching_weight(family, instance)
-    )
+    if exact:
+        opt_weight = opt_general(instance).weight
+    else:
+        opt_weight = reference_matching_weight(family, instance)
     return SweepRow(
         m=instance.size,
         ratio_online=report.online_cost / opt_weight,
