@@ -159,10 +159,10 @@ def expected_lower_bound_result(
     """Expected hemisphere pair list and its offline weight.
 
     For eta > 0 the policy pairs requests (2,3), (4,5), ..., (m-2,m-1) and
-    finally (1,m).  At eta = 0 those gaps are b_k and 2**i gaps of size
-    a_{k-1-i} for each i = 0..k-2; eta shortens each gap by eta times its
-    size and the span b_k by eta times their total G, so the weight is
-    b_k + (1 - 2 eta) G.  At eta = 0 the firing times tie and the
+    finally (1,m).  Unperturbed, (1,m) spans b_k and the other pairs are
+    2**i gaps of size a_{k-1-i} for each i = 0..k-2, of total G; eta
+    shortens each gap by eta times its size and the span by eta G, so the
+    weight is b_k + (1 - 2 eta) G.  At eta = 0 the firing times tie and the
     smallest-id rule pairs (1,2), (3,4), ..., the optimum of weight m/2.
     """
     m = 2**params.k
