@@ -34,7 +34,6 @@ from mpmd.engine import (
     simulate,
 )
 from mpmd.oracle import (
-    CycleDecomposition,
     Matching,
     brute_force_opt,
     cycle_decompose,

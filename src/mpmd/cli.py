@@ -22,6 +22,7 @@ from mpmd.harness import (
     theoretical_bound,
 )
 from mpmd.instances import (
+    DEFAULT_ETA,
     LOWER_BOUND_K_MAX,
     REQUEST_COUNT_MAX,
     LowerBoundParams,
@@ -38,6 +39,10 @@ from mpmd.oracle import opt_bipartite, opt_general
 from mpmd.verify import run_verify
 
 _POLICY_CHOICE = click.Choice(POLICY_KINDS)
+# Largest point count of ``gen random --metric finite:N``.  Checking the
+# triangle inequality of the N-point space takes O(N^3) time: N=256 took
+# about 1.4 s on a 2-vCPU Xeon VM, and N=400 about 5.6 s.
+FINITE_POINTS_MAX = 256
 
 
 def _meta(**fields) -> dict:
@@ -81,7 +86,8 @@ def gen() -> None:
 @click.option("--k", type=int, required=True,
               help=f"Levels; the instance has 2**k requests.  At most {LOWER_BOUND_K_MAX}.")
 @click.option("--epsilon", type=float, required=True, help="Radius growth rate the family targets.")
-@click.option("--eta", type=float, default=1e-6, show_default=True, help="Tie-breaking gap shrink factor.")
+@click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True,
+              help="Tie-breaking gap shrink factor.")
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen_lower_bound_cmd(k: int, epsilon: float, eta: float, output: str) -> None:
     """Single-point cascade that forces nested adversarial matches."""
@@ -102,28 +108,38 @@ def gen_appendix_b_cmd(m: int, delta: float, output: str) -> None:
     click.echo(f"wrote {output}: m={instance.size} digest={instance_digest(instance)}")
 
 
+def _parse_metric(ctx, param, value: str) -> tuple[str, dict]:
+    """line, euclidean:D or finite:N, as gen_random's metric and keyword arguments."""
+    kind, _, arg = value.partition(":")
+    if kind not in ("line", "euclidean", "finite") or (kind == "line" and arg):
+        raise click.BadParameter(f"expected line, euclidean:D or finite:N, got {value!r}")
+    if not arg:
+        return kind, {}
+    if kind == "euclidean":
+        key, what, low, high = "dim", "dimension D", 1, None
+    else:
+        key, what, low, high = "n_points", "point count N", 2, FINITE_POINTS_MAX
+    if not (arg.isdecimal() and int(arg) >= low and (high is None or int(arg) <= high)):
+        allowed = f">= {low}" if high is None else f"from {low} to {high}"
+        raise click.BadParameter(f"the {what} must be an integer {allowed}, got {arg!r}")
+    return kind, {key: int(arg)}
+
+
 @gen.command("random")
 @click.option("--m", type=int, required=True,
               help=f"Even request count, at most {REQUEST_COUNT_MAX}.")
 @click.option("--seed", type=int, required=True)
-@click.option("--metric", default="line", show_default=True,
-              help="line, euclidean:D, or finite:N.")
+@click.option("--metric", default="line", show_default=True, callback=_parse_metric,
+              help=f"line, euclidean:D, or finite:N with N at most {FINITE_POINTS_MAX}.")
 @click.option("--horizon", type=float, default=10.0, show_default=True,
               help="Arrival times and coordinates are drawn from [0, horizon].")
 @click.option("--bipartite", is_flag=True, default=False)
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen_random_cmd(
-    m: int, seed: int, metric: str, horizon: float, bipartite: bool, output: str
+    m: int, seed: int, metric: tuple[str, dict], horizon: float, bipartite: bool, output: str
 ) -> None:
     """Seeded random instance."""
-    kind, _, arg = metric.partition(":")
-    kwargs: dict = {}
-    if kind == "euclidean":
-        kwargs["dim"] = int(arg) if arg else 2
-    elif kind == "finite":
-        kwargs["n_points"] = int(arg) if arg else 4
-    elif kind != "line" or arg:
-        raise ValueError(f"unknown metric argument {metric!r}")
+    kind, kwargs = metric
     instance = gen_random(m, seed, metric=kind, horizon=horizon, bipartite=bipartite, **kwargs)
     save_instance(instance, output)
     click.echo(f"wrote {output}: m={instance.size} digest={instance_digest(instance)}")
@@ -166,15 +182,10 @@ def run_cmd(instance_path: str, policy: str, epsilon: float, fmt: str, output: s
 
 @main.command("opt")
 @click.option("-i", "--instance", "instance_path", type=click.Path(exists=True), required=True)
-@click.option("--bipartite", "force_bipartite", is_flag=True, default=False,
-              help="Use the color-crossing oracle (default: instance's own variant).")
-def opt_cmd(instance_path: str, force_bipartite: bool) -> None:
-    """Exact offline optimum of an instance file."""
+def opt_cmd(instance_path: str) -> None:
+    """Exact offline optimum of an instance file, in the instance's own variant."""
     instance = load_instance(instance_path)
-    if force_bipartite or instance.bipartite:
-        matching = opt_bipartite(instance)
-    else:
-        matching = opt_general(instance)
+    matching = opt_bipartite(instance) if instance.bipartite else opt_general(instance)
     payload = {
         "meta": _meta(instance=instance_digest(instance)),
         "m": instance.size,
@@ -216,7 +227,7 @@ def _parse_m_list(ctx, param, value: str) -> list[int]:
 @click.option("--k-min", type=int, default=4, show_default=True, help="lower-bound only.")
 @click.option("--k-max", type=int, default=10, show_default=True,
               help=f"lower-bound only; at most {LOWER_BOUND_K_MAX}.")
-@click.option("--eta", type=float, default=1e-6, show_default=True, help="lower-bound only.")
+@click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True, help="lower-bound only.")
 @click.option("--m-list", default="16,32,64,128", show_default=True, callback=_parse_m_list,
               help=f"appendix-b only; comma-separated request counts, each at most "
                    f"{REQUEST_COUNT_MAX}.")

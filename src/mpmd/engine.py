@@ -31,6 +31,9 @@ the offline weight, come from the fired pair's own d, gap and wait, computed
 by the same IEEE operations in both builders, so their reports are equal bit
 for bit.  Memory is O(m^2): about 24 bytes per admissible pair plus the
 m-by-m distance matrix in the array builder.
+
+The requests come in the arrival order that ``Instance`` keeps, so of two
+positions the lower is the earlier arrival.
 """
 
 from __future__ import annotations
@@ -106,12 +109,15 @@ class Request:
 
 @dataclass(frozen=True)
 class Instance:
-    """A metric space plus an ordered list of requests.
+    """A metric space plus its requests in arrival order.
 
     The request count must be even, ids unique, every time finite, and every
     location a valid, finite point of the space.  Bipartite instances carry a
     color on every request with both colors equally frequent; monochromatic
-    instances carry no colors.
+    instances carry no colors.  ``requests`` is stored sorted by (time, id),
+    whatever order it was given in, so two instances that list the same
+    requests in different orders are equal, and every consumer may rely on
+    arrival order.
     """
 
     space: MetricSpace
@@ -143,16 +149,12 @@ class Instance:
                 raise ValueError(
                     f"bipartite colors are imbalanced: {zeros} vs {len(ids) - zeros}"
                 )
+        arrival = tuple(sorted(self.requests, key=lambda r: (r.time, r.id)))
+        object.__setattr__(self, "requests", arrival)
 
     @property
     def size(self) -> int:
         return len(self.requests)
-
-    def request(self, rid: int) -> Request:
-        for r in self.requests:
-            if r.id == rid:
-                return r
-        raise ValueError(f"unknown request id {rid}")
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,12 @@ def _check_compatible(instance: Instance, policy: Policy) -> None:
 
 
 def _sorted_events(
-    requests: list[Request], space: MetricSpace, policy: Policy
+    requests: tuple[Request, ...], space: MetricSpace, policy: Policy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every admissible pair's event, sorted by event time.
 
-    ``requests`` is sorted by (time, id), so in each pair (i, j) with i < j
-    request i is the earlier arrival.  Returns the sorted event times, the
+    ``requests`` is in arrival order, as ``Instance`` keeps it, so in each
+    pair (i, j) with i < j request i is the earlier arrival.  Returns the sorted event times, the
     int32 positions of each event's earlier and later request, and each
     position's rank in id order, which stands in for the id in the tie key.
     """
@@ -338,8 +340,8 @@ def _next_live(early, late, matched_np, head: int) -> int:
 def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tuple:
     """The event (time, i, j, d, gap, wait) of the pair of positions i < j.
 
-    ``t`` and ``loc`` are the times and locations of the requests in (time,
-    id) order, so position i is the earlier arrival.  ``_fire_small`` inlines
+    ``t`` and ``loc`` are the times and locations of the requests in arrival
+    order, so position i is the earlier arrival.  ``_fire_small`` inlines
     the same operations, which saves a call per pair.
     """
     d = dist(loc[i], loc[j])
@@ -348,7 +350,7 @@ def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tup
     return t[j] + wait, i, j, d, gap, wait
 
 
-def _fire_small(requests: list[Request], space: MetricSpace, policy: Policy) -> list[tuple]:
+def _fire_small(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
     """The fired events of a small run, built, sorted and scanned as tuples."""
     m = len(requests)
     dist = distance_kernel(space)
@@ -390,7 +392,7 @@ def _fire_small(requests: list[Request], space: MetricSpace, policy: Policy) -> 
     return fired
 
 
-def _fire_large(requests: list[Request], space: MetricSpace, policy: Policy) -> list[tuple]:
+def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
     """The fired events of a run, built, sorted and scanned as numpy arrays."""
     m = len(requests)
     dist = distance_kernel(space)
@@ -437,7 +439,7 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
     record's times and costs are those of its pair's event.
     """
     _check_compatible(instance, policy)
-    requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
+    requests = instance.requests
     fire = _fire_small if len(requests) <= SMALL_RUN_MAX else _fire_large
     records = []
     weight = 0.0

@@ -26,11 +26,11 @@ from mpmd.engine import (
     NOTIME_MIN,
     Instance,
     Policy,
-    RunReport,
     augmented_by_id,
     simulate,
 )
 from mpmd.instances import (
+    DEFAULT_ETA,
     LowerBoundParams,
     TwoPointRowsParams,
     gen_lower_bound,
@@ -148,18 +148,10 @@ def optimum_for(instance: Instance, policy: Policy) -> Matching:
     return opt_general(instance)
 
 
-def compute_ratio(
-    instance: Instance,
-    policy: Policy,
-    *,
-    report: RunReport | None = None,
-    opt: Matching | None = None,
-) -> RatioReport:
+def compute_ratio(instance: Instance, policy: Policy) -> RatioReport:
     """Simulate the policy, solve for the optimum, and report both ratios."""
-    if report is None:
-        report = simulate(instance, policy)
-    if opt is None:
-        opt = optimum_for(instance, policy)
+    report = simulate(instance, policy)
+    opt = optimum_for(instance, policy)
 
     def against_opt(cost: float) -> float:
         if opt.weight > 0:
@@ -264,7 +256,7 @@ def _sweep_point(
 def sweep_lower_bound(
     k_values,
     epsilon: float,
-    eta: float = 1e-6,
+    eta: float = DEFAULT_ETA,
     policy_kind: str = HEMISPHERE,
 ) -> SweepResult:
     """Run the policy over the single-point cascade for each k and fit the slope."""
@@ -295,7 +287,7 @@ def sweep_two_point_rows(
     # Every m is checked before any instance is built.  The params reject an
     # m of 0 for its m, so max() only keeps its default delta from dividing by 0.
     params = [
-        TwoPointRowsParams(m=m, delta=1.0 / max(m, 1) if delta is None else delta, epsilon=epsilon)
+        TwoPointRowsParams(m=m, delta=1.0 / max(m, 1) if delta is None else delta)
         for m in sorted(m_values)
     ]
     rows = [_sweep_point("appendix-b", gen_two_point_rows(p), policy) for p in params]

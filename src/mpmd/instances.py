@@ -83,7 +83,6 @@ class TwoPointRowsParams:
 
     m: int
     delta: float
-    epsilon: float = 1.0
 
     def __post_init__(self) -> None:
         if self.m < 8:
@@ -93,8 +92,6 @@ class TwoPointRowsParams:
             raise ValueError(f"m must be a multiple of 4, got {self.m}")
         if not (is_finite_real(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and strictly positive, got {self.delta}")
-        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
 
 
 def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
@@ -133,14 +130,9 @@ def gen_lower_bound(params: LowerBoundParams, *, bipartite: bool = False) -> Ins
     adversarial pair color-crossing.
     """
     times = [0.0, 1.0]
-    a = 1.0 / (1.0 + params.epsilon)
-    b = 1.0
-    for _ in range(params.k - 1):
-        block = list(times)
-        offset = times[-1] + a * (1.0 - params.eta)
-        times.extend(t + offset for t in block)
-        b = 2.0 * b + a
-        a = b / (1.0 + params.epsilon)
+    for j in range(1, params.k):
+        offset = times[-1] + recurrence_ab(j, params.epsilon)[0] * (1.0 - params.eta)
+        times.extend([t + offset for t in times])
     space = MetricSpace.finite([_CASCADE_POINT], [[0.0]])
     requests = tuple(
         Request(
@@ -192,12 +184,12 @@ def gen_two_point_rows(params: TwoPointRowsParams) -> Instance:
         times.append(times[-1] + (1.0 if g % 2 == 0 else params.delta))
     d = 2.0 + params.delta
     space = MetricSpace.finite(_ROW_POINTS, [[0.0, d], [d, 0.0]])
-    requests = []
-    for row, name in enumerate(_ROW_POINTS):
-        for i, t in enumerate(times):
-            requests.append(Request(id=row * half + i + 1, point=TimedPoint(name, t)))
-    requests.sort(key=lambda r: (r.time, r.id))
-    return Instance(space=space, requests=tuple(requests), bipartite=False)
+    requests = tuple(
+        Request(id=row * half + i + 1, point=TimedPoint(name, t))
+        for row, name in enumerate(_ROW_POINTS)
+        for i, t in enumerate(times)
+    )
+    return Instance(space=space, requests=requests, bipartite=False)
 
 
 def gen_random(
@@ -282,7 +274,7 @@ def _metric_to_dict(space: MetricSpace) -> dict:
 def instance_to_dict(instance: Instance) -> dict:
     """JSON-ready dictionary in the on-disk format, requests in arrival order."""
     requests = []
-    for r in sorted(instance.requests, key=lambda r: (r.time, r.id)):
+    for r in instance.requests:
         loc = r.location
         entry = {
             "id": r.id,

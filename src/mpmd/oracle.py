@@ -90,11 +90,6 @@ class Cycle:
         )
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    cycles: tuple[Cycle, ...]
-
-
 def _augmented_matrix(space: MetricSpace, rows, cols=None) -> np.ndarray:
     """Time-augmented distances between two request lists (cols defaults to rows).
 
@@ -290,7 +285,7 @@ def matching_from_records(records, instance: Instance) -> Matching:
     return Matching.from_pairs([(rec.p, rec.q) for rec in records], instance)
 
 
-def cycle_decompose(a: Matching, b: Matching, instance: Instance) -> CycleDecomposition:
+def cycle_decompose(a: Matching, b: Matching, instance: Instance) -> tuple[Cycle, ...]:
     """Decompose the union of two perfect matchings into alternating cycles.
 
     Cycles start at their smallest unvisited id with an a-edge and are
@@ -330,7 +325,7 @@ def cycle_decompose(a: Matching, b: Matching, instance: Instance) -> CycleDecomp
             sequence.append(current)
         visited.update(sequence)
         cycles.append(Cycle(vertices=tuple(sequence), a_length=a_len, b_length=b_len))
-    return CycleDecomposition(cycles=tuple(cycles))
+    return tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -343,7 +338,7 @@ class RestrictionCounterexample:
 
 
 def restriction_check(
-    instance: Instance, report: RunReport, decomposition: CycleDecomposition
+    instance: Instance, report: RunReport, cycles: tuple[Cycle, ...]
 ) -> RestrictionCounterexample | None:
     """Re-simulate the policy on each cycle's requests and compare edge sets.
 
@@ -352,7 +347,7 @@ def restriction_check(
     when every cycle agrees, otherwise the first mismatch.
     """
     full_pairs = {(min(r.p, r.q), max(r.p, r.q)) for r in report.records}
-    for index, cycle in enumerate(decomposition.cycles):
+    for index, cycle in enumerate(cycles):
         members = set(cycle.vertices)
         sub_requests = tuple(r for r in instance.requests if r.id in members)
         sub_instance = Instance(

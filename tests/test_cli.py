@@ -8,8 +8,9 @@ from unittest.mock import Mock
 import pytest
 from click.testing import CliRunner
 
-from mpmd.cli import main
+from mpmd.cli import FINITE_POINTS_MAX, main
 from mpmd.instances import LOWER_BOUND_K_MAX, REQUEST_COUNT_MAX, gen_random, save_instance
+from mpmd.oracle import opt_bipartite
 
 
 @pytest.fixture
@@ -76,12 +77,18 @@ def test_opt_command(runner, tmp_path):
     assert payload["pairs"] == [[1, 2], [3, 4]]
 
 
-def test_opt_bipartite_flag(runner, tmp_path):
+def test_opt_on_a_bipartite_instance_is_the_color_crossing_optimum(runner, tmp_path):
     path = tmp_path / "bip.json"
-    save_instance(gen_random(6, 5, metric="line", bipartite=True), path)
-    result = invoke(runner, "opt", "-i", path, "--bipartite")
+    instance = gen_random(6, 5, metric="line", bipartite=True)
+    save_instance(instance, path)
+    result = invoke(runner, "opt", "-i", path)
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["m"] == 6
+    payload = json.loads(result.output)
+    expected = opt_bipartite(instance)
+    assert payload["weight"] == expected.weight
+    assert [tuple(p) for p in payload["pairs"]] == list(expected.pairs)
+    color = {r.id: r.color for r in instance.requests}
+    assert all(color[p] != color[q] for p, q in expected.pairs)
 
 
 def test_ratio_command(runner, tmp_path):
@@ -156,6 +163,40 @@ def test_gen_random_metric_arguments(runner, tmp_path):
         "-o", tmp_path / "bad.json",
     )
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        ("euclidean:x", "the dimension D must be an integer >= 1, got 'x'"),
+        ("euclidean:0", "the dimension D must be an integer >= 1, got '0'"),
+        ("finite:1", f"the point count N must be an integer from 2 to {FINITE_POINTS_MAX}"),
+        ("finite:2.5", "got '2.5'"),
+        ("finite:100000", "got '100000'"),
+        ("line:2", "expected line, euclidean:D or finite:N, got 'line:2'"),
+    ],
+)
+def test_gen_random_rejects_bad_metric_arguments_at_once(
+    runner, tmp_path, deadline, metric, message
+):
+    path = tmp_path / "out.json"
+    started = time.perf_counter()
+    result = invoke(runner, "gen", "random", "--m", 4, "--seed", 1, "--metric", metric, "-o", path)
+    assert time.perf_counter() - started < 5.0
+    assert_usage_error(result, "--metric")
+    assert message in result.output
+    assert not path.exists()
+
+
+def test_gen_random_point_count_cap_is_in_the_help_and_accepted(runner, tmp_path, deadline):
+    assert f"at most {FINITE_POINTS_MAX}" in invoke(runner, "gen", "random", "--help").output
+    path = tmp_path / "cap.json"
+    result = invoke(
+        runner, "gen", "random", "--m", 4, "--seed", 1,
+        "--metric", f"finite:{FINITE_POINTS_MAX}", "-o", path,
+    )
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(path.read_text())["metric"]["points"]) == FINITE_POINTS_MAX
 
 
 def test_verify_small_run_passes(runner):
@@ -282,6 +323,11 @@ def test_request_count_cap_is_in_the_help(runner):
 def test_sweep_rejects_bad_m_list(runner, m_list, message):
     result = invoke(runner, "sweep", "--family", "appendix-b", "--m-list", m_list)
     assert_usage_error(result, message)
+
+
+def test_sweep_appendix_b_rejects_infinite_epsilon(runner):
+    result = invoke(runner, "sweep", "--family", "appendix-b", "--epsilon", "inf")
+    assert_usage_error(result, "epsilon must be finite")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Simulation engine: firing rules, event ordering, costs, and run invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -154,6 +155,14 @@ class TestInstanceValidation:
             Instance(LINE, (req(1, 0.0, 0.0), req(2, bad, 0.0)))
         with pytest.raises(ValueError, match="request 1 location: euclidean coordinates"):
             Instance(MetricSpace.euclidean(2), (req(1, (bad, 0.0), 0.0), req(2, (0.0, 0.0), 0.0)))
+
+    def test_requests_are_kept_in_arrival_order(self):
+        # Requests 2 and 3 arrive together, so the smaller id comes first.
+        arrival = (req(4, 0.0, 0.0), req(2, 1.0, 1.0), req(3, 0.5, 1.0), req(1, 2.0, 3.0))
+        for given_order in itertools.permutations(arrival):
+            inst = Instance(LINE, given_order)
+            assert inst.requests == arrival
+            assert inst == Instance(LINE, arrival)
 
     def test_bipartite_policy_needs_bipartite_instance(self):
         inst = Instance(LINE, (req(1, 0.0, 0.0), req(2, 1.0, 0.0)))
@@ -434,7 +443,7 @@ def _longest_stale_run(instance, policy, records):
     Replays the records in firing order over the sorted events: before each
     step the scan's head moves past every stale event to the first live one.
     """
-    requests = sorted(instance.requests, key=lambda r: (r.time, r.id))
+    requests = instance.requests
     position = {r.id: k for k, r in enumerate(requests)}
     _, early, late, _ = _sorted_events(requests, instance.space, policy)
     matched = np.zeros(len(requests), dtype=bool)
@@ -474,7 +483,7 @@ def test_sorted_events_equal_scalar_firing_rule(seed):
     inst = _lattice_instance(seed) if seed % 2 else gen_random(
         14, seed, metric=["line", "euclidean", "finite"][seed % 3], bipartite=True
     )
-    requests = sorted(inst.requests, key=lambda r: (r.time, r.id))
+    requests = inst.requests
     for kind in _kinds(inst):
         policy = Policy(kind, 0.7)
         times, early, late, _ = _sorted_events(requests, inst.space, policy)

@@ -431,7 +431,7 @@ def test_matching_weights_sum_augmented_distance_in_each_callers_order(metric):
     record_pairs = [(rec.p, rec.q) for rec in report.records]
     assert _pair_weight(inst, record_pairs).hex() == sum(aug(p, q) for p, q in record_pairs).hex()
 
-    for cycle in cycle_decompose(alg, opt_general(inst), inst).cycles:
+    for cycle in cycle_decompose(alg, opt_general(inst), inst):
         a_len = 0.0
         for u, v in cycle.a_edges():
             a_len += aug(u, v)
@@ -583,8 +583,8 @@ class TestCycleDecompose:
         inst = gen_random(8, seed=4, metric="line")
         matching = opt_general(inst)
         decomposition = cycle_decompose(matching, matching, inst)
-        assert len(decomposition.cycles) == 4
-        for cycle in decomposition.cycles:
+        assert len(decomposition) == 4
+        for cycle in decomposition:
             assert len(cycle.vertices) == 2
             assert cycle.a_length == cycle.b_length
 
@@ -593,8 +593,8 @@ class TestCycleDecompose:
         alg = Matching.from_pairs([(2, 3), (1, 4)], inst)
         opt = opt_general(inst)
         decomposition = cycle_decompose(alg, opt, inst)
-        assert len(decomposition.cycles) == 1
-        cycle = decomposition.cycles[0]
+        assert len(decomposition) == 1
+        cycle = decomposition[0]
         assert sorted(cycle.vertices) == [1, 2, 3, 4]
         assert cycle.a_length == 3.0
         assert cycle.b_length == 2.0
@@ -620,7 +620,7 @@ def test_cycle_structure_and_length_sums(seed, m, metric, eps):
     opt = opt_general(inst)
     decomposition = cycle_decompose(alg, opt, inst)
     assert_checks_pass(check_decomposition, inst, alg, opt, decomposition, "run")
-    a_total = sum(c.a_length for c in decomposition.cycles)
+    a_total = sum(c.a_length for c in decomposition)
     assert a_total == pytest.approx(report.offline_weight, rel=1e-9)
 
 
@@ -630,7 +630,7 @@ class TestRestriction:
         report = simulate(inst, Policy(HEMISPHERE, 1.0))
         alg = matching_from_records(report.records, inst)
         decomposition = cycle_decompose(alg, opt_general(inst), inst)
-        assert len(decomposition.cycles) == 1
+        assert len(decomposition) == 1
         assert restriction_check(inst, report, decomposition) is None
 
     def test_two_cycles_re_simulate_to_their_own_pairs(self):

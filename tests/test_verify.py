@@ -13,7 +13,7 @@ from mpmd import verify
 from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, Instance, Policy, RunReport, simulate
 from mpmd.instances import gen_random
 from mpmd.oracle import (
-    CycleDecomposition,
+    Cycle,
     Matching,
     cycle_decompose,
     matching_from_records,
@@ -97,7 +97,7 @@ class Case:
     report: RunReport
     alg: Matching
     opt: Matching
-    decomposition: CycleDecomposition
+    cycles: tuple[Cycle, ...]
     label: str = "case"
 
 
@@ -129,12 +129,12 @@ _LAST_TWO_SWAPPED = _records(lambda r: (*r[:-2], r[-1], r[-2]))
 def _cycle(index, edit):
     """Doctor: cycle ``index`` gets the vertices ``edit(vertices, case)``."""
 
-    def decomposition(case):
-        cycles = list(case.decomposition.cycles)
-        cycles[index] = replace(cycles[index], vertices=tuple(edit(cycles[index].vertices, case)))
-        return CycleDecomposition(cycles=tuple(cycles))
+    def cycles(case):
+        edited = list(case.cycles)
+        edited[index] = replace(edited[index], vertices=tuple(edit(edited[index].vertices, case)))
+        return tuple(edited)
 
-    return _with(decomposition=decomposition)
+    return _with(cycles=cycles)
 
 
 def _last_pair_traded(vertices, case):
@@ -148,6 +148,13 @@ def _pairs_in_order(case, key):
     requests = sorted(case.instance.requests, key=key)
     pairs = [(requests[i].id, requests[i + 1].id) for i in range(0, len(requests), 2)]
     return Matching.from_pairs(pairs, case.instance)
+
+
+def _time_shifted(requests):
+    """The requests with the first one arriving a unit later."""
+    first = requests[0]
+    shifted = replace(first, point=replace(first.point, time=first.time + 1.0))
+    return (shifted, *requests[1:])
 
 
 def _patched(name, edit):
@@ -179,7 +186,7 @@ DOCTORED = [
     ("bipartite-last-two-swapped", verify.check_last_pair_inequality, BIP, _LAST_TWO_SWAPPED,
      {"bipartite_last_pair_inequality": 1}),
     ("cycle-removed", verify.check_decomposition, MONO,
-     _with(decomposition=lambda c: CycleDecomposition(cycles=c.decomposition.cycles[1:])),
+     _with(cycles=lambda c: c.cycles[1:]),
      {"cycle_cover": 1, "cycle_lengths": 1}),
     ("cycle-rotated", verify.check_decomposition, MONO, _cycle(1, lambda v, _c: v[1:] + v[:1]),
      {"cycle_alternation": 1}),
@@ -196,7 +203,7 @@ DOCTORED = [
     ("alg-opt-swapped", verify.check_optimality_lower_bound, MONO,
      _with(alg=lambda c: c.opt, opt=lambda c: c.alg), {"optimality_lower_bound": 1}),
     ("cycles-of-another-matching", verify.check_restriction, MONO,
-     _with(decomposition=lambda c: cycle_decompose(c.opt, c.opt, c.instance)),
+     _with(cycles=lambda c: cycle_decompose(c.opt, c.opt, c.instance)),
      {"restriction_property": 1}),
     ("alg-weight-inflated", verify.check_recurrence_bound, MONO,
      _with(alg=lambda c: replace(c.alg, weight=100.0 * c.alg.weight)), {"recurrence_bound": 1}),
@@ -215,9 +222,9 @@ DOCTORED = [
     ("one-row-shortened", partial(verify.check_two_point_rows_family, m_values=(8,)), MONO,
      _patched("gen_two_point_rows", lambda i, _c: replace(i, requests=i.requests[:-2])),
      {"two_point_rows_balanced": 1}),
-    ("requests-reordered",
+    ("requests-retimed",
      partial(verify.check_io_roundtrip, instances=[("case", MONO.instance)]), MONO,
-     _patched("instance_from_dict", lambda i, _c: replace(i, requests=i.requests[::-1])),
+     _patched("instance_from_dict", lambda i, _c: replace(i, requests=_time_shifted(i.requests))),
      {"io_roundtrip": 1}),
 ]
 
