@@ -125,14 +125,14 @@ class Instance:
     bipartite: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", tuple(self.requests))
-        ids = [r.id for r in self.requests]
+        requests = tuple(self.requests)
+        ids = [r.id for r in requests]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate request id {dup}")
         if len(ids) % 2 != 0:
             raise ValueError("request count must be even")
-        for r in self.requests:
+        for r in requests:
             if not is_finite_real(r.time):
                 raise ValueError(f"request {r.id} time: expected a finite number, got {r.time!r}")
             try:
@@ -144,12 +144,12 @@ class Instance:
             if not self.bipartite and r.color is not None:
                 raise ValueError(f"request {r.id} carries a color on a monochromatic instance")
         if self.bipartite:
-            zeros = sum(1 for r in self.requests if r.color == 0)
+            zeros = sum(1 for r in requests if r.color == 0)
             if zeros * 2 != len(ids):
                 raise ValueError(
                     f"bipartite colors are imbalanced: {zeros} vs {len(ids) - zeros}"
                 )
-        arrival = tuple(sorted(self.requests, key=lambda r: (r.time, r.id)))
+        arrival = tuple(sorted(requests, key=lambda r: (r.time, r.id)))
         object.__setattr__(self, "requests", arrival)
 
     @property
