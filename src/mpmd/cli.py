@@ -34,15 +34,11 @@ from mpmd.instances import (
     load_instance,
     save_instance,
 )
-from mpmd.metric import is_finite_real
+from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, is_finite_real
 from mpmd.oracle import opt_bipartite, opt_general
 from mpmd.verify import run_verify
 
 _POLICY_CHOICE = click.Choice(POLICY_KINDS)
-# Largest point count of ``gen random --metric finite:N``.  Checking the
-# triangle inequality of the N-point space takes O(N^3) time: N=256 took
-# about 1.4 s on a 2-vCPU Xeon VM, and N=400 about 5.6 s.
-FINITE_POINTS_MAX = 256
 
 
 def _meta(**fields) -> dict:
@@ -116,12 +112,11 @@ def _parse_metric(ctx, param, value: str) -> tuple[str, dict]:
     if not arg:
         return kind, {}
     if kind == "euclidean":
-        key, what, low, high = "dim", "dimension D", 1, None
+        key, what, low, high = "dim", "dimension D", 1, EUCLIDEAN_DIM_MAX
     else:
         key, what, low, high = "n_points", "point count N", 2, FINITE_POINTS_MAX
-    if not (arg.isdecimal() and int(arg) >= low and (high is None or int(arg) <= high)):
-        allowed = f">= {low}" if high is None else f"from {low} to {high}"
-        raise click.BadParameter(f"the {what} must be an integer {allowed}, got {arg!r}")
+    if not (arg.isdecimal() and low <= int(arg) <= high):
+        raise click.BadParameter(f"the {what} must be an integer from {low} to {high}, got {arg!r}")
     return kind, {key: int(arg)}
 
 
@@ -130,7 +125,8 @@ def _parse_metric(ctx, param, value: str) -> tuple[str, dict]:
               help=f"Even request count, at most {REQUEST_COUNT_MAX}.")
 @click.option("--seed", type=int, required=True)
 @click.option("--metric", default="line", show_default=True, callback=_parse_metric,
-              help=f"line, euclidean:D, or finite:N with N at most {FINITE_POINTS_MAX}.")
+              help=f"line, euclidean:D with D at most {EUCLIDEAN_DIM_MAX}, "
+                   f"or finite:N with N at most {FINITE_POINTS_MAX}.")
 @click.option("--horizon", type=float, default=10.0, show_default=True,
               help="Arrival times and coordinates are drawn from [0, horizon].")
 @click.option("--bipartite", is_flag=True, default=False)

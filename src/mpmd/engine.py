@@ -29,8 +29,9 @@ one ulp of a double is about 1e-9, the tolerance itself, and from 2**23
 (about 8.4e6) on a cluster holds only exactly equal times.  Each record, and
 the offline weight, come from the fired pair's own d, gap and wait, computed
 by the same IEEE operations in both builders, so their reports are equal bit
-for bit.  Memory is O(m^2): about 24 bytes per admissible pair plus the
-m-by-m distance matrix in the array builder.
+for bit.  The array builder takes each admissible pair's distance from
+``pair_distances``, without an m-by-m distance matrix.  Memory is O(m^2):
+about 24 bytes per admissible pair.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -51,7 +52,7 @@ from mpmd.metric import (
     distance,
     distance_kernel,
     is_finite_real,
-    pairwise,
+    pair_distances,
     validate_point,
 )
 
@@ -303,7 +304,7 @@ def _sorted_events(
     early, late = np.nonzero(admissible)
     del admissible
     early, late = early.astype(np.int32), late.astype(np.int32)
-    d = pairwise(space, [r.location for r in requests])[early, late]
+    d = pair_distances(space, [r.location for r in requests], early, late)
     t = np.array([r.time for r in requests], dtype=float)
     gap = t[late]
     gap -= t[early]

@@ -28,6 +28,7 @@ from mpmd.engine import Instance, Request
 from mpmd.metric import (
     EUCLIDEAN,
     FINITE,
+    FINITE_POINTS_MAX,
     LINE,
     MetricSpace,
     TimedPoint,
@@ -225,8 +226,11 @@ def gen_random(
         space = MetricSpace.euclidean(dim)
         draw = lambda: tuple(rng.uniform(0.0, horizon) for _ in range(dim))
     elif metric == FINITE:
-        if n_points < 2:
-            raise ValueError(f"finite metric needs at least 2 points, got {n_points}")
+        # Checked before the n_points-squared matrix is built.
+        if not 2 <= n_points <= FINITE_POINTS_MAX:
+            raise ValueError(
+                f"finite metric needs 2 to {FINITE_POINTS_MAX} points, got {n_points}"
+            )
         anchors = [
             (rng.uniform(0.0, horizon), rng.uniform(0.0, horizon))
             for _ in range(n_points)
@@ -299,9 +303,12 @@ def _parse_metric(data, context: str) -> MetricSpace:
         return MetricSpace.line()
     if kind == "euclidean":
         dim = data.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise InstanceFormatError(f"{context}.dim: expected a positive integer")
-        return MetricSpace.euclidean(dim)
+        try:
+            return MetricSpace.euclidean(dim)
+        except ValueError as exc:
+            raise InstanceFormatError(f"{context}.dim: {exc}") from None
     if kind == "finite":
         points = data.get("points")
         matrix = data.get("matrix")

@@ -8,8 +8,9 @@ from unittest.mock import Mock
 import pytest
 from click.testing import CliRunner
 
-from mpmd.cli import FINITE_POINTS_MAX, main
+from mpmd.cli import main
 from mpmd.instances import LOWER_BOUND_K_MAX, REQUEST_COUNT_MAX, gen_random, save_instance
+from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX
 from mpmd.oracle import opt_bipartite
 
 
@@ -168,8 +169,9 @@ def test_gen_random_metric_arguments(runner, tmp_path):
 @pytest.mark.parametrize(
     "metric, message",
     [
-        ("euclidean:x", "the dimension D must be an integer >= 1, got 'x'"),
-        ("euclidean:0", "the dimension D must be an integer >= 1, got '0'"),
+        ("euclidean:x", f"the dimension D must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got 'x'"),
+        ("euclidean:0", f"the dimension D must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got '0'"),
+        ("euclidean:200000", "got '200000'"),
         ("finite:1", f"the point count N must be an integer from 2 to {FINITE_POINTS_MAX}"),
         ("finite:2.5", "got '2.5'"),
         ("finite:100000", "got '100000'"),
@@ -186,6 +188,17 @@ def test_gen_random_rejects_bad_metric_arguments_at_once(
     assert_usage_error(result, "--metric")
     assert message in result.output
     assert not path.exists()
+
+
+def test_gen_random_dimension_cap_is_in_the_help_and_accepted(runner, tmp_path, deadline):
+    assert f"D with D at most {EUCLIDEAN_DIM_MAX}" in invoke(runner, "gen", "random", "--help").output
+    path = tmp_path / "cap.json"
+    result = invoke(
+        runner, "gen", "random", "--m", 2, "--seed", 1,
+        "--metric", f"euclidean:{EUCLIDEAN_DIM_MAX}", "-o", path,
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(path.read_text())["metric"]["dim"] == EUCLIDEAN_DIM_MAX
 
 
 def test_gen_random_point_count_cap_is_in_the_help_and_accepted(runner, tmp_path, deadline):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpmd.engine as engine
+import mpmd.metric as metric_layer
 from mpmd.engine import (
     HEMISPHERE,
     HEMISPHERE_BIPARTITE,
@@ -322,15 +323,23 @@ def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
     _assert_agrees_with_reference(_cascade(k, eta, bipartite), (1.0,))
 
 
-# simulate picks its event builder from the request count alone; these limits
-# force one builder at every count.
-BUILDER_LIMITS = {"tuples": 10**9, "arrays": 0}
+# simulate picks its event builder from the request count alone, and the
+# array builder's Euclidean distances come from math.dist or the numpy kernel
+# by the pair count.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN) limits force
+# one path at every count: "kernel" is the array builder on the numpy kernel.
+BUILDER_LIMITS = {"tuples": (10**9, 10**9), "arrays": (0, 10**9), "kernel": (0, 0)}
+
+
+def _force(monkeypatch, name):
+    small, vector = BUILDER_LIMITS[name]
+    monkeypatch.setattr(engine, "SMALL_RUN_MAX", small)
+    monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", vector)
 
 
 @pytest.fixture(params=sorted(BUILDER_LIMITS))
 def builder(request, monkeypatch):
-    """Run the test with simulate's tuple or array event builder forced."""
-    monkeypatch.setattr(engine, "SMALL_RUN_MAX", BUILDER_LIMITS[request.param])
+    """Run the test with one of simulate's event paths forced."""
+    _force(monkeypatch, request.param)
     return request.param
 
 
@@ -359,8 +368,8 @@ def _bits_by_builder(monkeypatch, inst, policy):
     """
     by_id = {r.id: r for r in inst.requests}
     bits = {}
-    for name, limit in BUILDER_LIMITS.items():
-        monkeypatch.setattr(engine, "SMALL_RUN_MAX", limit)
+    for name in BUILDER_LIMITS:
+        _force(monkeypatch, name)
         report = simulate(inst, policy)
         for rec in report.records:
             p, q = by_id[rec.p], by_id[rec.q]
@@ -384,7 +393,7 @@ def test_builders_give_bit_identical_reports(metric, bipartite, monkeypatch):
             for kind in _kinds(inst):
                 for eps in (0.1, 0.5, 2.0):
                     bits = _bits_by_builder(monkeypatch, inst, Policy(kind, eps))
-                    assert bits["tuples"] == bits["arrays"], (m, seed, kind, eps)
+                    assert bits["tuples"] == bits["arrays"] == bits["kernel"], (m, seed, kind, eps)
 
 
 def _with_points(inst, point):
@@ -477,14 +486,15 @@ def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, 
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_sorted_events_equal_scalar_firing_rule(seed):
+def test_sorted_events_equal_scalar_firing_rule(seed, monkeypatch):
     # Event times are compared with ==.  Only the times need to be sorted:
     # events of equal time always share a tie cluster.
     inst = _lattice_instance(seed) if seed % 2 else gen_random(
         14, seed, metric=["line", "euclidean", "finite"][seed % 3], bipartite=True
     )
     requests = inst.requests
-    for kind in _kinds(inst):
+    for kind, name in itertools.product(_kinds(inst), ("arrays", "kernel")):
+        _force(monkeypatch, name)
         policy = Policy(kind, 0.7)
         times, early, late, _ = _sorted_events(requests, inst.space, policy)
         got = [

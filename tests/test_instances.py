@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from mpmd.instances import (
     recurrence_ab_closed_form,
     save_instance,
 )
-from mpmd.metric import validate_metric
+from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, validate_metric
 from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form
 
 from helpers import assert_checks_pass
@@ -237,6 +238,16 @@ class TestGenRandom:
         with pytest.raises(ValueError, match=f"at most {REQUEST_COUNT_MAX} requests, got m={m}"):
             gen_random(m, 0)
 
+    def test_dimension_cap(self):
+        inst = gen_random(2, 0, metric="euclidean", dim=EUCLIDEAN_DIM_MAX)
+        assert inst.space.dim == EUCLIDEAN_DIM_MAX
+        with pytest.raises(ValueError, match=f"from 1 to {EUCLIDEAN_DIM_MAX}, got 200000"):
+            gen_random(16, 1, metric="euclidean", dim=200_000)
+
+    def test_point_count_cap(self, deadline):
+        with pytest.raises(ValueError, match=f"2 to {FINITE_POINTS_MAX} points, got 100000"):
+            gen_random(4, 0, metric="finite", n_points=100_000)
+
 
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -334,6 +345,38 @@ class TestFileFormat:
         data["requests"][1]["loc"] = "B"
         with pytest.raises(InstanceFormatError, match="metric"):
             load_instance(self._write(tmp_path, data))
+
+    @pytest.mark.parametrize("dim", [0, True, 2.0, "2"])
+    def test_euclidean_dimension_must_be_a_positive_integer(self, tmp_path, dim):
+        data = self.base()
+        data["metric"] = {"kind": "euclidean", "dim": dim}
+        with pytest.raises(InstanceFormatError, match=r"metric\.dim: "):
+            load_instance(self._write(tmp_path, data))
+
+    def test_euclidean_dimension_above_the_cap_names_the_field(self, tmp_path):
+        data = self.base()
+        data["metric"] = {"kind": "euclidean", "dim": EUCLIDEAN_DIM_MAX + 1}
+        message = rf"metric\.dim: .*from 1 to {EUCLIDEAN_DIM_MAX}, got {EUCLIDEAN_DIM_MAX + 1}"
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(self._write(tmp_path, data))
+
+    def test_finite_point_count_above_the_cap_is_refused_before_validation(
+        self, tmp_path, deadline
+    ):
+        # Far beyond the cap: validating this space would take minutes.
+        n = 4 * FINITE_POINTS_MAX
+        data = self.base()
+        data["metric"] = {
+            "kind": "finite",
+            "points": [f"p{i}" for i in range(n)],
+            "matrix": [[float(i != j) for j in range(n)] for i in range(n)],
+        }
+        started = time.perf_counter()
+        with pytest.raises(
+            InstanceFormatError, match=rf"metric: .*at most {FINITE_POINTS_MAX} points, got {n}"
+        ):
+            load_instance(self._write(tmp_path, data))
+        assert time.perf_counter() - started < 5.0
 
     def test_location_type_mismatch(self, tmp_path):
         data = self.base()
