@@ -28,7 +28,6 @@ from mpmd.engine import (
     Policy,
     Request,
     RunReport,
-    event_time,
     offline_weight,
     online_cost,
     simulate,

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from mpmd.engine import Instance, Request
+from mpmd.engine import REQUEST_COUNT_MAX, Instance, Request
 from mpmd.metric import (
     EUCLIDEAN,
     FINITE,
@@ -38,14 +38,10 @@ from mpmd.metric import (
 
 ETA_MAX = 1e-3
 DEFAULT_ETA = 1e-6
-# Largest cascade level k.  The cascade has m = 2**k requests, and a run over
-# it holds O(m^2) memory: with the hemisphere policy m=4096 peaked at about
-# 400 MB and m=8192 extrapolates to about 1.5 GB, so k=14 would need about
-# 6 GB, near the whole of a 7 GB machine.
+# Largest cascade level k: the cascade has m = 2**k requests, and an instance
+# at most REQUEST_COUNT_MAX.  The generators check their counts before they
+# build a request list, so a huge m fails at once.
 LOWER_BOUND_K_MAX = 13
-# Largest request count of a two-point row or random instance, the size of
-# the largest cascade, for the same O(m^2) reason.
-REQUEST_COUNT_MAX = 2**LOWER_BOUND_K_MAX
 
 
 @dataclass(frozen=True)

@@ -460,7 +460,8 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
     """
     if space.kind == LINE:
         x = np.array(points, dtype=float)
-        out = x[i] - x[j]
+        out = x[i]
+        out -= x[j]
         return np.abs(out, out=out)
     if space.kind == EUCLIDEAN:
         if len(i) >= VECTOR_DISTANCES_MIN:

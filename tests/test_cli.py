@@ -322,6 +322,16 @@ def test_request_count_above_cap_exits_at_once(runner, tmp_path, deadline, args)
     assert not path.exists()
 
 
+def test_instance_file_above_the_request_count_cap_is_an_error(runner, tmp_path):
+    m = REQUEST_COUNT_MAX + 2
+    path = tmp_path / "big.json"
+    requests = [{"id": i, "t": float(i), "loc": 0.0} for i in range(m)]
+    data = {"metric": {"kind": "line"}, "bipartite": False, "requests": requests}
+    path.write_text(json.dumps(data))
+    result = invoke(runner, "run", "-i", path, "--policy", "hemisphere", "--epsilon", 1)
+    assert_usage_error(result, f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}")
+
+
 def test_request_count_cap_is_in_the_help(runner):
     for args in (["gen", "appendix-b"], ["gen", "random"], ["sweep"]):
         result = invoke(runner, *args, "--help")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,19 +11,20 @@ from hypothesis import given, settings, strategies as st
 import mpmd.engine as engine
 import mpmd.metric as metric_layer
 from mpmd.engine import (
+    BUCKET_EVENTS,
     HEMISPHERE,
     HEMISPHERE_BIPARTITE,
     NOTIME_EARLY,
     NOTIME_LATE,
     NOTIME_MIN,
     POLICY_KINDS,
+    REQUEST_COUNT_MAX,
     SCALAR_SKIP,
     SMALL_RUN_MAX,
     Instance,
     MatchRecord,
     Policy,
     Request,
-    event_time,
     offline_weight,
     online_cost,
     simulate,
@@ -34,7 +36,6 @@ from mpmd.instances import (
     gen_random,
     gen_two_point_rows,
 )
-from mpmd.engine import _pair_schedule, _sorted_events
 from mpmd.metric import MetricSpace, TimedPoint, distance
 from mpmd.verify import Tally, check_cost_scaling, check_last_pair_inequality, check_run_basics
 
@@ -45,6 +46,52 @@ LINE = MetricSpace.line()
 
 def req(rid, loc, t, color=None):
     return Request(id=rid, point=TimedPoint(loc, t), color=color)
+
+
+# Scalar reference of the firing rule, one pair at a time.
+
+
+def _ordered(a, b):
+    """(earlier, later) by arrival time, ties by smaller id."""
+    if (a.time, a.id) <= (b.time, b.id):
+        return a, b
+    return b, a
+
+
+def _pair_schedule(policy, a, b, space):
+    """Anticipated (match_time, delay_earlier, delay_later) for the pair.
+
+    Returns None when the policy never matches the pair (same color under the
+    bipartite policy).  Delays are derived from the firing rule itself rather
+    than by subtracting large times, as the engine derives them.
+    """
+    if policy.kind == HEMISPHERE_BIPARTITE and a.color == b.color:
+        return None
+    early, late = _ordered(a, b)
+    gap = late.time - early.time
+    wait = engine._wait(policy, distance(space, a.location, b.location), gap, max)
+    return late.time + wait, gap + wait, wait
+
+
+def event_time(policy, p, q, space):
+    """Earliest time the pair may be matched, or inf when the policy never will."""
+    if p.id == q.id:
+        raise ValueError("event_time requires two distinct requests")
+    schedule = _pair_schedule(policy, p, q, space)
+    if schedule is None:
+        return math.inf
+    return schedule[0]
+
+
+def _sorted_events(requests, space, policy):
+    """Every admissible pair's event from the array builder, sorted by time at once.
+
+    The full sort that the engine's bucketed scan replaces: the reference
+    order for the stale-run and firing-rule tests.
+    """
+    times, early, late, rank = engine._events(requests, space, policy)
+    order = np.argsort(times)
+    return times[order], early[order], late[order], rank
 
 
 class TestEventTime:
@@ -156,6 +203,15 @@ class TestInstanceValidation:
             Instance(LINE, (req(1, 0.0, 0.0), req(2, bad, 0.0)))
         with pytest.raises(ValueError, match="request 1 location: euclidean coordinates"):
             Instance(MetricSpace.euclidean(2), (req(1, (bad, 0.0), 0.0), req(2, (0.0, 0.0), 0.0)))
+
+    def test_request_count_cap(self):
+        at_cap = tuple(req(i, 0.0, 0.0) for i in range(REQUEST_COUNT_MAX))
+        assert Instance(LINE, at_cap).size == REQUEST_COUNT_MAX
+        m = REQUEST_COUNT_MAX + 2
+        with pytest.raises(
+            ValueError, match=f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}"
+        ):
+            Instance(LINE, at_cap + (req(m, 0.0, 0.0), req(m + 1, 0.0, 0.0)))
 
     def test_requests_are_kept_in_arrival_order(self):
         # Requests 2 and 3 arrive together, so the smaller id comes first.
@@ -323,17 +379,25 @@ def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
     _assert_agrees_with_reference(_cascade(k, eta, bipartite), (1.0,))
 
 
-# simulate picks its event builder from the request count alone, and the
-# array builder's Euclidean distances come from math.dist or the numpy kernel
-# by the pair count.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN) limits force
-# one path at every count: "kernel" is the array builder on the numpy kernel.
-BUILDER_LIMITS = {"tuples": (10**9, 10**9), "arrays": (0, 10**9), "kernel": (0, 0)}
+# simulate picks its event builder from the request count alone, the array
+# builder's Euclidean distances come from math.dist or the numpy kernel by the
+# pair count, and the array scan splits its events into time buckets by the
+# event count.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN, BUCKET_EVENTS)
+# limits force one path at every count: "kernel" is the array builder on the
+# numpy kernel, and "buckets" is that with buckets of about 4 events.
+BUILDER_LIMITS = {
+    "tuples": (10**9, 10**9, BUCKET_EVENTS),
+    "arrays": (0, 10**9, BUCKET_EVENTS),
+    "kernel": (0, 0, BUCKET_EVENTS),
+    "buckets": (0, 0, 4),
+}
 
 
 def _force(monkeypatch, name):
-    small, vector = BUILDER_LIMITS[name]
+    small, vector, bucket = BUILDER_LIMITS[name]
     monkeypatch.setattr(engine, "SMALL_RUN_MAX", small)
     monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", vector)
+    monkeypatch.setattr(engine, "BUCKET_EVENTS", bucket)
 
 
 @pytest.fixture(params=sorted(BUILDER_LIMITS))
@@ -393,7 +457,9 @@ def test_builders_give_bit_identical_reports(metric, bipartite, monkeypatch):
             for kind in _kinds(inst):
                 for eps in (0.1, 0.5, 2.0):
                     bits = _bits_by_builder(monkeypatch, inst, Policy(kind, eps))
-                    assert bits["tuples"] == bits["arrays"] == bits["kernel"], (m, seed, kind, eps)
+                    assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["buckets"], (
+                        m, seed, kind, eps
+                    )
 
 
 def _with_points(inst, point):
@@ -444,6 +510,106 @@ def test_doubling_line_positions_and_times_doubles_every_record_field(builder):
                     assert [_record_bits(r) for r in big.records] == twice
                     assert big.online_cost.hex() == (2 * base.online_cost).hex()
                     assert big.offline_weight.hex() == (2 * base.offline_weight).hex()
+
+
+def _same_place(times, ids=None, loc=0.0):
+    """A line instance whose requests all sit at loc, arriving at the given times."""
+    ids = ids or range(1, len(times) + 1)
+    return Instance(LINE, tuple(req(rid, loc, t) for rid, t in zip(ids, times)))
+
+
+def _ulps_above(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Event times that leave no room for a linear histogram: all equal, a spread
+# of a few ulps, a span hi - lo that overflows, and a span so small that the
+# histogram's scale bins / (hi - lo) is inf.
+DEGENERATE_TIMES = {
+    "equal": [5.0] * 8,
+    "ulps": [_ulps_above(1.0, k) for k in range(8)],
+    "overflow": [-8e307] * 4 + [8e307] * 4,
+    "subnormal": [0.0] * 4 + [5e-324] * 4,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_TIMES))
+def test_bucket_ids_need_no_warning_for_degenerate_times(case, monkeypatch):
+    inst = _same_place(DEGENERATE_TIMES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in _kinds(inst):
+            # epsilon = 4 keeps the overflow case's event times finite.
+            policy = Policy(kind, 4.0)
+            times = engine._events(inst.requests, inst.space, policy)[0]
+            buckets = engine._bucket_ids(times, 7)
+            if buckets is None:
+                # One bucket is the fallback only when the times allow no split.
+                span = float(times.max()) - float(times.min())
+                assert span == 0 or not 0 < engine.FINE_BINS * 7 / span < math.inf
+            else:
+                ids, sizes = buckets
+                assert ids[np.argsort(times, kind="stable")].tolist() == sorted(ids.tolist())
+                assert sizes.tolist() == np.bincount(ids, minlength=7).tolist()
+            bits = _bits_by_builder(monkeypatch, inst, policy)
+            assert bits["tuples"] == bits["buckets"], policy
+    if case != "ulps":
+        hemisphere = engine._events(inst.requests, inst.space, Policy(HEMISPHERE, 4.0))[0]
+        assert engine._bucket_ids(hemisphere, 7) is None
+
+
+@pytest.mark.parametrize("later", [2.5e-10, 5e-10])
+def test_tie_cluster_across_a_bucket_boundary_pulls_in_the_next_bucket(later, monkeypatch):
+    # Six requests at time 0 give 15 events at 0.  Requests 1 and 2 arrive
+    # later, so their 12 pairs with the others fire at 2 * later: at 5e-10,
+    # inside the tie tolerance of time 0, or at 1e-9, exactly on its bound.
+    # Those events lead the id key.  With buckets of about 4 events the times
+    # 0 and 2 * later fall in different buckets.
+    inst = _same_place([0.0] * 6 + [later] * 2, ids=[10, 11, 12, 13, 14, 15, 1, 2])
+    policy = Policy(HEMISPHERE, 1.0)
+    times = engine._events(inst.requests, inst.space, policy)[0]
+    ids, _ = engine._bucket_ids(times, 7)
+    assert ids[times == 0.0].max() < ids[times == 2 * later].min()
+    _force(monkeypatch, "buckets")
+    pulled, scanned = [], set()
+    sorted_live = engine._sorted_live
+
+    def spy(index, *args):
+        # Moving a bucket in while scanned events are still live is a pull-in.
+        pulled.append(not scanned.isdisjoint(index.tolist()))
+        result = sorted_live(index, *args)
+        scanned.update(result[0].tolist())
+        return result
+
+    monkeypatch.setattr(engine, "_sorted_live", spy)
+    pairs = _pairs(simulate(inst, policy))
+    assert pairs[:2] == [(1, 10), (2, 11)]
+    assert pairs == reference_simulate(inst, policy)
+    assert any(pulled)
+
+
+def test_tie_cluster_over_many_buckets_moves_them_in_at_once(monkeypatch):
+    # Every event time lies within a few ulps of 1, so one tie cluster holds
+    # every event, across several buckets of about 4 events.
+    inst = _same_place(DEGENERATE_TIMES["ulps"])
+    policy = Policy(HEMISPHERE, 1.0)
+    times = engine._events(inst.requests, inst.space, policy)[0]
+    assert np.count_nonzero(engine._bucket_ids(times, 7)[1]) > 2
+    _force(monkeypatch, "buckets")
+    calls = []
+    sorted_live = engine._sorted_live
+
+    def spy(index, *args):
+        calls.append(len(index))
+        return sorted_live(index, *args)
+
+    monkeypatch.setattr(engine, "_sorted_live", spy)
+    assert _pairs(simulate(inst, policy)) == reference_simulate(inst, policy)
+    # The first bucket, then every other one in a single pull-in.
+    assert len(calls) == 2
+    assert calls[1] == len(times)
 
 
 def _longest_stale_run(instance, policy, records):
