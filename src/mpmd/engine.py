@@ -101,7 +101,7 @@ SMALL_RUN_MAX = 16
 
 # Events per block of the passes over every event: a block's temporaries
 # stay in cache, and the passes allocate no event-sized temporary.
-BLOCK_EVENTS = 1 << 15
+BLOCK_EVENTS = 1 << 13
 
 # Events per time bucket of the array scan, the most buckets a run uses (their
 # ids are uint8), and the fine histogram bins per bucket that place the
@@ -396,10 +396,14 @@ def _sorted_live(index, times, early, late, matched_np):
     early, late = early[index], late[index]
     live = np.flatnonzero((matched_np[early] | matched_np[late]) == 0)
     index = index[live]
-    at = times[index]
-    order = np.argsort(at)
+    times = times[index]
+    order = np.argsort(times)
+    # Each gather replaces its source, so no more than one copy is alive.
+    index = index[order]
+    times = times[order]
     live = live[order]
-    return index[order], at[order], early[live], late[live]
+    del order
+    return index, times, early[live], late[live]
 
 
 def _next_live(early, late, matched_np, head: int) -> int:
