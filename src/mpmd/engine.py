@@ -9,40 +9,55 @@ match can never precede the later arrival, so anchored-at-the-earlier
 variants are clamped to it.
 
 A pair's firing time depends on that pair alone, so ``simulate`` computes
-every admissible pair's event once and fires them in time order.  Two
-builders make the same events, chosen by the request count alone.  Runs of
-at most ``SMALL_RUN_MAX`` requests build, sort and scan plain Python tuples
-(time, i, j, d, gap, wait): there numpy's fixed cost of tens of microseconds
-per call outweighs its speed, and ``verify`` makes thousands of such calls.
-Larger runs compute the times as numpy arrays and sort them lazily, since
-only m/2 of the m(m-1)/2 events fire and the last of them often comes late
-in time order.  The events are split into time buckets of about
-``BUCKET_EVENTS`` each, by a linear histogram of the times and one radix sort
-of the uint8 bucket ids.  The scan moves one bucket at a time into its
-sorted events: it drops every event with a matched endpoint and sorts only
-the rest: 3 to 7 percent of all events on the benchmark's m=1024 runs.  An
-event whose endpoint is already matched is stale and skipped: one by one in
-the tuple scan; in the array scan up to ``SCALAR_SKIP`` of them one by one,
-then in windows of doubling width, each tested at once with numpy, until a
-window holds a live event.  At the first live event the scan gathers the tie
-cluster, every event no later than its time plus ``TIME_TIE_TOL``, and fires
-the live member with the smallest id key (later-arrival id, then earlier
-id); the other members stay in place for the next step.  Before that, while
-the cluster's bound reaches the smallest time of the next bucket, the scan
-moves that bucket in too, so a cluster across a bucket boundary is whole.
-Pairs thus fire in a deterministic order: by event time, with times within
-``TIME_TIE_TOL`` of the earliest live one ordered by the id key, which
-depends only on which requests are matched, not on how the events were
-sorted.  The tolerance is absolute, so it means less as times grow: near
-4.5e6 one ulp of a double is about 1e-9, the tolerance itself, and from 2**23
-(about 8.4e6) on a cluster holds only exactly equal times.  Each record, and
-the offline weight, come from the fired pair's own d, gap and wait, computed
-by the same IEEE operations in both builders, so their reports are equal bit
-for bit.  The array builder takes each admissible pair's distance from
-``pair_distances``, without an m-by-m distance matrix, and makes its pair
-indices arithmetically, without an m-by-m mask.  Memory is O(m^2): the scan
-holds 24 bytes per admissible pair (the time, two int32 positions and the
-bucket order), and the radix sort peaks at about 34.
+each pair's event once and fires the events in time order.  Two builders
+make the same events, chosen by the request count alone.  Runs of at most
+``SMALL_RUN_MAX`` requests build, sort and scan plain Python tuples (time,
+i, j, d, gap, wait) of every admissible pair: there numpy's fixed cost of
+tens of microseconds per call outweighs its speed, and ``verify`` makes
+thousands of such calls.  Larger runs build numpy arrays of events, and only
+for the pairs that can still fire.  Under every policy a pair's wait is at
+least 0, so a pair never fires before its later request arrives, and a pair
+whose earlier request was matched before that is stale whenever it could
+fire.  The scan therefore builds events batch by batch of arrivals: a
+batch's requests pair with each other and with the requests still unmatched
+when it is built (under ``hemisphere-b`` only across colors).  It builds the
+next batch whenever no live event is left or the head's tie cluster, every
+event up to the earliest live time plus ``TIME_TIE_TOL``, reaches the next
+arrival, and the batch takes in every request arriving up to that bound; so
+every event that could join the cluster is built before a pair fires.  A
+batch holds at least ``ARRIVAL_BATCH`` requests, and at least as many as are
+pending, so that each batch's new events outnumber the live ones the scan
+sorts again with them.  Of the live events the scan sorts only those up to
+the next arrival, and of more than ``SORT_WINDOW`` of them only the earliest
+``SORT_WINDOW``; the rest wait unsorted in a reserve, which is sorted in
+when the head's tie cluster reaches its bound.  Of all pairs, the
+benchmark's runs (line, plane and a bipartite finite:4 space at m=1024, the
+cascade at k=10 and rows at m=512) built 4 to 29 percent and sorted 0.7 to 6
+percent, counting events sorted again.  An event whose endpoint is already
+matched is stale and skipped: one by one in the tuple scan; in the array
+scan up to ``SCALAR_SKIP`` of them one by one, then in windows of doubling
+width, each tested at once with numpy, until a window holds a live event.
+At the first live event the scan gathers the tie cluster and fires the live
+member with the smallest id key (later-arrival id, then earlier id); the
+other members stay in place for the next step.  Pairs thus fire in a
+deterministic order: by event time, with times within ``TIME_TIE_TOL`` of
+the earliest live one ordered by the id key, which depends only on which
+requests are matched, not on how or when the events were built and sorted.
+The tolerance is absolute, so it means less as times grow: near 4.5e6 one
+ulp of a double is about 1e-9, the tolerance itself, and from 2**23 (about
+8.4e6) on a cluster holds only exactly equal times.  Each record, and the
+offline weight, come from the fired pair's own d, gap and wait, computed by
+the same IEEE operations in both builders, so their reports are equal bit
+for bit.  The array builder takes each pair's distance from
+``pair_distances`` over the batch's requests and the pending ones, without
+an m-by-m distance matrix, and makes the pair indices arithmetically,
+without an m-by-m mask.  Memory follows the pairs built, at about 16 bytes
+per event held (its time and two int32 positions): one hemisphere run in the
+plane peaked at 103 MB of RSS at m=8192, 21 MB over the interpreter.  The
+worst case is still O(m^2): when every request is pending at once, as when
+all arrive at one time, every pair is built in one batch, and such a run
+peaked at about 30 bytes per pair, when the scan joins the batch's events
+to the live ones it already holds.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -75,10 +90,12 @@ NOTIME_EARLY = "notime-early"
 
 POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIME_EARLY)
 
-# Largest request count of an instance.  A run holds O(m^2) memory: one
-# hemisphere run on the line peaked at 147 MB of RSS at m=2048 and 352 MB at
-# m=4096, about 34 bytes per pair over an 80 MB interpreter, which
-# extrapolates to about 1.2 GB at m=8192 and 4.6 GB at m=16384.
+# Largest request count of an instance.  A run holds memory for the pairs
+# it builds: one hemisphere run on the line peaked at 85 MB of RSS at m=8192
+# and one in the plane at 103 MB, but a run in which every request is pending
+# at once builds all m(m-1)/2 pairs: with every request at one time the peak
+# was 336 MB at m=4096 and 1.1 GB at m=8192, about 30 bytes per pair over an
+# 80 MB interpreter, which extrapolates to 4.2 GB at m=16384.
 REQUEST_COUNT_MAX = 8192
 
 # Absolute tolerance under which two event times are considered tied.
@@ -99,16 +116,24 @@ SCALAR_SKIP = 32
 # and 101 against 135 in the plane; at m=48 they were 2-3x slower.
 SMALL_RUN_MAX = 16
 
-# Events per block of the passes over every event: a block's temporaries
-# stay in cache, and the passes allocate no event-sized temporary.
+# Events per block of the pass that turns distances into event times: a
+# block's temporaries stay in cache, and the pass allocates no event-sized
+# temporary.
 BLOCK_EVENTS = 1 << 13
 
-# Events per time bucket of the array scan, the most buckets a run uses (their
-# ids are uint8), and the fine histogram bins per bucket that place the
-# bucket boundaries.
-BUCKET_EVENTS = 16384
-BUCKET_COUNT_MAX = 255
-FINE_BINS = 64
+# Requests per arrival batch of the array scan, at least.  A batch also
+# takes at least as many requests as are pending when it is built, so that
+# its new events outnumber the live ones sorted again with them: on a line
+# run of m=1024 whose distances span 100 times its arrival horizon, with
+# about 300 requests pending, batches of 32 alone took 26 batches and 43 to
+# 54 ms, and this rule 5 batches and 37 to 38 ms (2-vCPU Xeon VM).
+ARRIVAL_BATCH = 32
+
+# Live events the array scan sorts at once, at most, unless a tie cluster
+# holds more: the rest wait unsorted until the head's tie cluster reaches
+# them.  This bounds the sort of a batch in which many requests are pending,
+# as when every request arrives at one time.
+SORT_WINDOW = 16384
 
 _NO_PAIR_LEFT = "no admissible pair left; perfect matching impossible"
 
@@ -281,129 +306,109 @@ def _check_compatible(instance: Instance, policy: Policy) -> None:
         raise ValueError("bipartite policy requires a bipartite instance")
 
 
-def _pair_positions(
-    requests: tuple[Request, ...], policy: Policy
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int32 positions (early, late) of every admissible pair, early < late.
+def _prefix_pairs(late: np.ndarray, counts: np.ndarray, source=None):
+    """The int32 pairs (source[k], late[r]) for every r and every k < counts[r].
 
-    The order of the pairs does not matter: the scan sorts them by time, and
-    events of equal time always share a tie cluster, where the id key decides.
+    Without a source, k itself is the earlier index.  The pairs are made
+    arithmetically, with no mask over the candidate pairs.
     """
-    if policy.kind == HEMISPHERE_BIPARTITE:
-        colors = np.array([r.color for r in requests], dtype=np.int8)
-        zero = np.flatnonzero(colors == 0).astype(np.int32)
-        one = np.flatnonzero(colors).astype(np.int32)
-        a = np.repeat(zero, len(one))
-        b = np.tile(one, len(zero))
-        early = np.minimum(a, b)
-        return early, np.maximum(a, b, out=a)
-    # Position j is the later request of j pairs, whose earlier ones are 0..j-1.
-    counts = np.arange(len(requests), dtype=np.int32)
-    late = np.repeat(counts, counts)
-    early = np.arange(len(late), dtype=np.int32)
-    early -= np.repeat(counts * (counts - 1) // 2, counts)
-    return early, late
+    ends = np.cumsum(counts, dtype=np.int32)
+    early = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int32)
+    early -= np.repeat(ends - counts, counts)
+    if source is not None:
+        early = source[early]
+    return early, np.repeat(late, counts)
 
 
-def _events(
-    requests: tuple[Request, ...], space: MetricSpace, policy: Policy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every admissible pair's event, unsorted.
+def _batch_events(
+    space: MetricSpace, policy: Policy, loc: list, t: np.ndarray, colors, pending, start: int, stop: int
+):
+    """The events of the pairs whose later request is one of positions start..stop-1.
 
-    ``requests`` is in arrival order, as ``Instance`` keeps it, so in each
-    pair (i, j) with i < j request i is the earlier arrival.  Returns the
-    event times, the int32 positions of each event's earlier and later
-    request, and each position's rank in id order, which stands in for the id
-    in the tie key.
+    Each of these requests pairs with every earlier one among ``pending``
+    (the unmatched positions before start, increasing, as int32) and the
+    batch itself; under ``hemisphere-b`` only with those of the other color
+    (``colors`` holds each position's color, and is None for the other
+    policies).  ``loc`` and ``t`` give every position's location and time.
+    Returns the event times and the int32 positions of each event's earlier
+    and later request, in no particular order.
     """
-    m = len(requests)
-    rank = np.empty(m, dtype=np.int32)
-    rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
-    early, late = _pair_positions(requests, policy)
-    times = pair_distances(space, [r.location for r in requests], early, late)
-    t = np.array([r.time for r in requests], dtype=float)
+    members = np.arange(start, stop, dtype=np.int32)
+    if len(pending):
+        members = np.concatenate((pending, members))
+    # Pairs are made as indices into members, whose locations and times are
+    # gathered once, so the work follows the pairs built, not the run.
+    lates = np.arange(len(pending), len(members), dtype=np.int32)
+    if colors is None:
+        early, late = _prefix_pairs(lates, lates)
+    else:
+        color = colors[members]
+        sides = []
+        for c in (0, 1):
+            other = np.flatnonzero(color != c).astype(np.int32)
+            own = lates[color[lates] == c]
+            sides.append(_prefix_pairs(own, np.searchsorted(other, own).astype(np.int32), other))
+        early, late = (np.concatenate(side) for side in zip(*sides))
+    first = int(members[0])
+    contiguous = int(members[-1]) - first + 1 == len(members)
+    if contiguous:
+        points, t_members = loc[first : first + len(members)], t[first : first + len(members)]
+    else:
+        points, t_members = [loc[k] for k in members.tolist()], t[members]
+    times = pair_distances(space, points, early, late)
     # Each block's distances turn into its event times in place, through
     # temporaries of one block.
-    for start in range(0, len(times), BLOCK_EVENTS):
-        block = slice(start, start + BLOCK_EVENTS)
+    for block_start in range(0, len(times), BLOCK_EVENTS):
+        block = slice(block_start, block_start + BLOCK_EVENTS)
         # Fancy indexing is several times faster with intp indices.
-        t_late = t[late[block].astype(np.intp)]
-        gap = t_late - t[early[block].astype(np.intp)]
+        t_late = t_members[late[block].astype(np.intp)]
+        gap = t_late - t_members[early[block].astype(np.intp)]
         np.add(_wait(policy, times[block], gap, np.maximum), t_late, out=times[block])
-    return times, early, late, rank
+    if not contiguous:
+        return times, members[early], members[late]
+    if first:
+        early += first
+        late += first
+    return times, early, late
 
 
-def _bucket_ids(times: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each event's time bucket as uint8 and each bucket's size, or None.
+def _live(times, early, late, matched_np, above: float = -math.inf):
+    """The events whose requests are both unmatched and whose time is above ``above``."""
+    keep = (matched_np[early] | matched_np[late]) == 0
+    if above > -math.inf:
+        keep &= times > above
+    keep = np.flatnonzero(keep)
+    return times[keep], early[keep], late[keep]
 
-    Bucket ids do not decrease as times grow, and the buckets hold roughly
-    equal numbers of events: the times are histogrammed linearly into
-    ``FINE_BINS`` bins per bucket, and consecutive bins are grouped by their
-    cumulative count.  None means one bucket must do.  The span and the scale
-    are Python floats, which overflow to inf without a warning; equal times,
-    a span that overflows and a span so small that the scale is inf all give
-    None.
+
+def _sorted_window(times, early, late, horizon: float):
+    """The events up to a bound, sorted by time, and a reserve.
+
+    The bound is the later of horizon and the earliest time plus
+    ``TIME_TIE_TOL``, so the earliest event's tie cluster is whole; if more
+    than ``SORT_WINDOW`` events lie up to it, it falls to the
+    ``SORT_WINDOW``-th smallest time, but not below that cluster bound.  The
+    reserve is None, or the given arrays and the bound: the events above the
+    bound wait there unsorted.  Events of exactly equal times always share a
+    tie cluster, where the id key decides, so their relative order does not
+    matter and an unstable float sort will do; it is several times faster
+    than a stable sort or a lexsort that orders by the id key too.
     """
-    lo = float(times.min())
-    span = float(times.max()) - lo
-    bins = FINE_BINS * count
-    scale = bins / span if span > 0 else math.inf
-    if not 0 < scale < math.inf:
-        return None
-    blocks = range(0, len(times), BLOCK_EVENTS)
-
-    def fine_bins(start: int) -> np.ndarray:
-        fine = times[start : start + BLOCK_EVENTS] - lo
-        fine *= scale
-        index = fine.astype(np.intp)
-        return np.minimum(index, bins - 1, out=index)
-
-    sizes = sum(np.bincount(fine_bins(start), minlength=bins) for start in blocks)
-    before = np.cumsum(sizes)
-    before -= sizes
-    bucket_of_bin = (before * count // len(times)).astype(np.uint8)
-    ids = np.concatenate([bucket_of_bin[fine_bins(start)] for start in blocks])
-    return ids, np.bincount(bucket_of_bin, weights=sizes, minlength=count).astype(np.intp)
-
-
-def _bucket_order(times: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The event indices grouped by time bucket, and the buckets' bounds.
-
-    The bounds are the start of each nonempty bucket in that order, then the
-    event count; inside a bucket the indices are unsorted.  A run of at most
-    ``BUCKET_EVENTS`` events, or one whose times allow no split, is one bucket.
-    """
-    n = len(times)
-    count = min(BUCKET_COUNT_MAX, -(-n // BUCKET_EVENTS))
-    buckets = _bucket_ids(times, count) if count > 1 else None
-    if buckets is None:
-        return np.arange(n), [0, n]
-    ids, sizes = buckets
-    # A stable sort of uint8 keys is a radix sort, several times faster than
-    # sorting the float times.
-    return np.argsort(ids, kind="stable"), [0] + np.cumsum(sizes[sizes > 0]).tolist()
-
-
-def _sorted_live(index, times, early, late, matched_np):
-    """The events of index whose requests are both unmatched, sorted by time.
-
-    Returns their indices, times, earlier and later positions.  Events of
-    exactly equal times always share a tie cluster, where the id key decides,
-    so their relative order does not matter and an unstable float sort will
-    do; it is several times faster than a stable sort or a lexsort that
-    orders by the id key too.
-    """
-    early, late = early[index], late[index]
-    live = np.flatnonzero((matched_np[early] | matched_np[late]) == 0)
-    index = index[live]
-    times = times[index]
+    reserve = None
+    if len(times) and (horizon < math.inf or len(times) > SORT_WINDOW):
+        cluster = float(times.min()) + TIME_TIE_TOL
+        bound = max(horizon, cluster)
+        near = np.flatnonzero(times <= bound) if bound < math.inf else None
+        if (len(times) if near is None else len(near)) > SORT_WINDOW:
+            part = np.partition(times if near is None else times[near], SORT_WINDOW - 1)
+            bound = max(float(part[SORT_WINDOW - 1]), cluster)
+            del part
+            near = np.flatnonzero(times <= bound)
+        if near is not None and len(near) < len(times):
+            reserve = (times, early, late, bound)
+            times, early, late = times[near], early[near], late[near]
     order = np.argsort(times)
-    # Each gather replaces its source, so no more than one copy is alive.
-    index = index[order]
-    times = times[order]
-    live = live[order]
-    del order
-    return index, times, early[live], late[live]
+    return times[order], early[order], late[order], reserve
 
 
 def _next_live(early, late, matched_np, head: int) -> int:
@@ -481,21 +486,27 @@ def _fire_small(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
 
 
 def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
-    """The fired events of a run, built, bucketed, sorted and scanned as numpy arrays."""
+    """The fired events of a run, built batch by batch of arrivals and scanned as numpy arrays."""
     m = len(requests)
     dist = distance_kernel(space)
     t = [r.time for r in requests]
     loc = [r.location for r in requests]
-    all_times, all_early, all_late, rank = _events(requests, space, policy)
-    by_bucket, starts = _bucket_order(all_times)
-    buckets = len(starts) - 1
-    opened = 0  # buckets moved into the scanned events so far
-    first = -math.inf  # the smallest time of the next bucket to move in
+    t_np = np.array(t, dtype=float)
+    colors = None
+    if policy.kind == HEMISPHERE_BIPARTITE:
+        colors = np.array([r.color for r in requests], dtype=np.int8)
+    # Each position's rank in id order stands in for the id in the tie key.
+    rank = np.empty(m, dtype=np.int32)
+    rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
     matched = bytearray(m)
     matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
-    # The scanned events, sorted by time: their indices, times and positions.
-    index, times, early, late = by_bucket[:0], all_times[:0], all_early[:0], all_late[:0]
-    n = head = 0
+    # The scanned events, sorted by time: their times and earlier and later positions.
+    times, early, late = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    # The reserve: chunks (times, early, late, bound) of built events, whose
+    # events above bound wait unsorted; and the smallest bound.
+    reserve: list[tuple] = []
+    lowest = math.inf
+    n = head = arrived = 0
     fired: list[tuple] = []
     while len(fired) * 2 < m:
         stop = min(head + SCALAR_SKIP, n)
@@ -504,21 +515,32 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
         if head == stop:
             head = _next_live(early, late, matched_np, head)
         limit = time_at[head] + TIME_TIE_TOL if head < n else math.inf
-        if opened < buckets and limit >= first:
-            # Sort the live events of the next bucket in with the rest when no
-            # live event is left, and otherwise of every bucket the head's tie
-            # cluster may reach into.
-            moved = [index[head:]]
-            while opened < buckets and limit >= first:
-                moved.append(by_bucket[starts[opened] : starts[opened + 1]])
-                opened += 1
-                if opened < buckets:
-                    first = float(all_times[by_bucket[starts[opened] : starts[opened + 1]]].min())
-                if head == n:
-                    break
-            index, times, early, late = _sorted_live(
-                np.concatenate(moved), all_times, all_early, all_late, matched_np
-            )
+        # No event fires before its later request arrives, so the events not
+        # built yet are later than limit unless the next arrival is not.
+        build = arrived < m and t[arrived] <= limit
+        pull = limit > lowest
+        if build or pull:
+            parts = [_live(times[head:], early[head:], late[head:], matched_np)] if head < n else []
+            if build:
+                pending = np.flatnonzero(matched_np[:arrived] == 0).astype(np.int32)
+                stop = arrived + max(ARRIVAL_BATCH, len(pending))
+                if limit < math.inf:
+                    stop = max(stop, bisect_right(t, limit, arrived))
+                stop = min(stop, m)
+                new = _batch_events(space, policy, loc, t_np, colors, pending, arrived, stop)
+                parts.append(new)
+                arrived = stop
+            if pull:
+                parts += [_live(*chunk[:3], matched_np, chunk[3]) for chunk in reserve]
+                reserve, lowest = [], math.inf
+            if len(parts) > 1:
+                parts = [tuple(np.concatenate(side) for side in zip(*parts))]
+            horizon = t[arrived] if arrived < m else math.inf
+            times, early, late, rest = _sorted_window(*parts[0], horizon)
+            del parts
+            if rest is not None:
+                reserve.append(rest)
+                lowest = min(lowest, rest[3])
             # Element reads through memoryviews are Python numbers, without
             # the cost of numpy scalars or of a list copy of every event.
             time_at, early_at, late_at = memoryview(times), memoryview(early), memoryview(late)

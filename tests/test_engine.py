@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import mpmd.engine as engine
 import mpmd.metric as metric_layer
 from mpmd.engine import (
-    BUCKET_EVENTS,
+    ARRIVAL_BATCH,
     HEMISPHERE,
     HEMISPHERE_BIPARTITE,
     NOTIME_EARLY,
@@ -21,6 +21,7 @@ from mpmd.engine import (
     REQUEST_COUNT_MAX,
     SCALAR_SKIP,
     SMALL_RUN_MAX,
+    SORT_WINDOW,
     Instance,
     MatchRecord,
     Policy,
@@ -83,15 +84,38 @@ def event_time(policy, p, q, space):
     return schedule[0]
 
 
-def _sorted_events(requests, space, policy):
-    """Every admissible pair's event from the array builder, sorted by time at once.
+def _pair_positions(requests, policy):
+    """The int32 positions (early, late) of every admissible pair, early < late."""
+    if policy.kind == HEMISPHERE_BIPARTITE:
+        colors = np.array([r.color for r in requests], dtype=np.int8)
+        zero = np.flatnonzero(colors == 0).astype(np.int32)
+        one = np.flatnonzero(colors).astype(np.int32)
+        a = np.repeat(zero, len(one))
+        b = np.tile(one, len(zero))
+        return np.minimum(a, b), np.maximum(a, b)
+    # Position j is the later request of j pairs, whose earlier ones are 0..j-1.
+    counts = np.arange(len(requests), dtype=np.int32)
+    late = np.repeat(counts, counts)
+    early = np.arange(len(late), dtype=np.int32)
+    early -= np.repeat(counts * (counts - 1) // 2, counts)
+    return early, late
 
-    The full sort that the engine's bucketed scan replaces: the reference
-    order for the stale-run and firing-rule tests.
+
+def _sorted_events(requests, space, policy):
+    """Every admissible pair's event, built at once and sorted by time at once.
+
+    The all-pairs full sort that the engine's arrival batches replace: the
+    reference order for the stale-run and firing-rule tests.  Returns the
+    sorted event times and the positions of each event's earlier and later
+    request.
     """
-    times, early, late, rank = engine._events(requests, space, policy)
+    early, late = _pair_positions(requests, policy)
+    t = np.array([r.time for r in requests], dtype=float)
+    d = metric_layer.pair_distances(space, [r.location for r in requests], early, late)
+    t_late = t[late]
+    times = engine._wait(policy, d, t_late - t[early], np.maximum) + t_late
     order = np.argsort(times)
-    return times[order], early[order], late[order], rank
+    return times[order], early[order], late[order]
 
 
 class TestEventTime:
@@ -381,23 +405,26 @@ def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
 
 # simulate picks its event builder from the request count alone, the array
 # builder's Euclidean distances come from math.dist or the numpy kernel by the
-# pair count, and the array scan splits its events into time buckets by the
-# event count.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN, BUCKET_EVENTS)
-# limits force one path at every count: "kernel" is the array builder on the
-# numpy kernel, and "buckets" is that with buckets of about 4 events.
+# pair count, and the array scan builds events by arrival batches and sorts
+# them in windows.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN, ARRIVAL_BATCH,
+# SORT_WINDOW) limits force one path at every count: "kernel" is the array
+# builder on the numpy kernel, and "batches" is that with batches of 2
+# requests and windows of 4 events, so every run crosses many batch
+# boundaries and pulls unsorted events in many times.
 BUILDER_LIMITS = {
-    "tuples": (10**9, 10**9, BUCKET_EVENTS),
-    "arrays": (0, 10**9, BUCKET_EVENTS),
-    "kernel": (0, 0, BUCKET_EVENTS),
-    "buckets": (0, 0, 4),
+    "tuples": (10**9, 10**9, ARRIVAL_BATCH, SORT_WINDOW),
+    "arrays": (0, 10**9, ARRIVAL_BATCH, SORT_WINDOW),
+    "kernel": (0, 0, ARRIVAL_BATCH, SORT_WINDOW),
+    "batches": (0, 0, 2, 4),
 }
 
 
 def _force(monkeypatch, name):
-    small, vector, bucket = BUILDER_LIMITS[name]
+    small, vector, batch, window = BUILDER_LIMITS[name]
     monkeypatch.setattr(engine, "SMALL_RUN_MAX", small)
     monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", vector)
-    monkeypatch.setattr(engine, "BUCKET_EVENTS", bucket)
+    monkeypatch.setattr(engine, "ARRIVAL_BATCH", batch)
+    monkeypatch.setattr(engine, "SORT_WINDOW", window)
 
 
 @pytest.fixture(params=sorted(BUILDER_LIMITS))
@@ -457,7 +484,7 @@ def test_builders_give_bit_identical_reports(metric, bipartite, monkeypatch):
             for kind in _kinds(inst):
                 for eps in (0.1, 0.5, 2.0):
                     bits = _bits_by_builder(monkeypatch, inst, Policy(kind, eps))
-                    assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["buckets"], (
+                    assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["batches"], (
                         m, seed, kind, eps
                     )
 
@@ -524,9 +551,8 @@ def _ulps_above(x, k):
     return x
 
 
-# Event times that leave no room for a linear histogram: all equal, a spread
-# of a few ulps, a span hi - lo that overflows, and a span so small that the
-# histogram's scale bins / (hi - lo) is inf.
+# Degenerate event times: all equal, a spread of a few ulps, times near
+# +-1e308 whose span overflows, and a subnormal span.
 DEGENERATE_TIMES = {
     "equal": [5.0] * 8,
     "ulps": [_ulps_above(1.0, k) for k in range(8)],
@@ -536,91 +562,119 @@ DEGENERATE_TIMES = {
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_TIMES))
-def test_bucket_ids_need_no_warning_for_degenerate_times(case, monkeypatch):
+def test_degenerate_times_need_no_warning(case, monkeypatch):
     inst = _same_place(DEGENERATE_TIMES[case])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind in _kinds(inst):
             # epsilon = 4 keeps the overflow case's event times finite.
             policy = Policy(kind, 4.0)
-            times = engine._events(inst.requests, inst.space, policy)[0]
-            buckets = engine._bucket_ids(times, 7)
-            if buckets is None:
-                # One bucket is the fallback only when the times allow no split.
-                span = float(times.max()) - float(times.min())
-                assert span == 0 or not 0 < engine.FINE_BINS * 7 / span < math.inf
-            else:
-                ids, sizes = buckets
-                assert ids[np.argsort(times, kind="stable")].tolist() == sorted(ids.tolist())
-                assert sizes.tolist() == np.bincount(ids, minlength=7).tolist()
             bits = _bits_by_builder(monkeypatch, inst, policy)
-            assert bits["tuples"] == bits["buckets"], policy
-    if case != "ulps":
-        hemisphere = engine._events(inst.requests, inst.space, Policy(HEMISPHERE, 4.0))[0]
-        assert engine._bucket_ids(hemisphere, 7) is None
+            assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["batches"], policy
 
 
-@pytest.mark.parametrize("later", [2.5e-10, 5e-10])
-def test_tie_cluster_across_a_bucket_boundary_pulls_in_the_next_bucket(later, monkeypatch):
+def _spy_batches(monkeypatch):
+    """Record (start, stop, pending positions) of every batch the engine builds."""
+    built = []
+    batch_events = engine._batch_events
+
+    def spy(space, policy, loc, t, colors, pending, start, stop):
+        built.append((start, stop, pending.tolist()))
+        return batch_events(space, policy, loc, t, colors, pending, start, stop)
+
+    monkeypatch.setattr(engine, "_batch_events", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "later, first_pairs",
+    [(2.5e-10, [(1, 10), (2, 11)]), (5e-10, [(1, 10), (2, 11)]), (1e-9, [(1, 2)])],
+    ids=["2.5e-10", "5e-10", "1e-9"],
+)
+def test_tie_cluster_reaching_a_later_arrival_builds_its_batch_first(
+    later, first_pairs, monkeypatch
+):
     # Six requests at time 0 give 15 events at 0.  Requests 1 and 2 arrive
-    # later, so their 12 pairs with the others fire at 2 * later: at 5e-10,
-    # inside the tie tolerance of time 0, or at 1e-9, exactly on its bound.
-    # Those events lead the id key.  With buckets of about 4 events the times
-    # 0 and 2 * later fall in different buckets.
+    # later, after the first batch of 2, so their 12 pairs with the others
+    # fire at 2 * later: at 5e-10, inside the tie tolerance of time 0, or at
+    # 1e-9, exactly on its bound.  Those events lead the id key.  Arriving
+    # at 1e-9, exactly on the bound, requests 1 and 2 pair with each other
+    # at once, and that event leads.
     inst = _same_place([0.0] * 6 + [later] * 2, ids=[10, 11, 12, 13, 14, 15, 1, 2])
     policy = Policy(HEMISPHERE, 1.0)
-    times = engine._events(inst.requests, inst.space, policy)[0]
-    ids, _ = engine._bucket_ids(times, 7)
-    assert ids[times == 0.0].max() < ids[times == 2 * later].min()
-    _force(monkeypatch, "buckets")
-    pulled, scanned = [], set()
-    sorted_live = engine._sorted_live
-
-    def spy(index, *args):
-        # Moving a bucket in while scanned events are still live is a pull-in.
-        pulled.append(not scanned.isdisjoint(index.tolist()))
-        result = sorted_live(index, *args)
-        scanned.update(result[0].tolist())
-        return result
-
-    monkeypatch.setattr(engine, "_sorted_live", spy)
+    _force(monkeypatch, "batches")
+    built = _spy_batches(monkeypatch)
     pairs = _pairs(simulate(inst, policy))
-    assert pairs[:2] == [(1, 10), (2, 11)]
+    assert pairs[: len(first_pairs)] == first_pairs
     assert pairs == reference_simulate(inst, policy)
-    assert any(pulled)
+    # The second batch takes in every arrival up to the bound of the first
+    # batch's tie cluster, before any pair fires.
+    assert built == [(0, 2, []), (2, 8, [0, 1])]
 
 
-def test_tie_cluster_over_many_buckets_moves_them_in_at_once(monkeypatch):
+def test_tie_cluster_over_several_batches(monkeypatch):
     # Every event time lies within a few ulps of 1, so one tie cluster holds
-    # every event, across several buckets of about 4 events.
-    inst = _same_place(DEGENERATE_TIMES["ulps"])
+    # every event.  With batches of one request the first has no pair, the
+    # second one, and the third every other; the id key picks a pair that
+    # joins the first batch to the third.
+    inst = _same_place(DEGENERATE_TIMES["ulps"], ids=[20, 21, 1, 2, 3, 4, 5, 6])
     policy = Policy(HEMISPHERE, 1.0)
-    times = engine._events(inst.requests, inst.space, policy)[0]
-    assert np.count_nonzero(engine._bucket_ids(times, 7)[1]) > 2
-    _force(monkeypatch, "buckets")
-    calls = []
-    sorted_live = engine._sorted_live
+    _force(monkeypatch, "batches")
+    monkeypatch.setattr(engine, "ARRIVAL_BATCH", 1)
+    built = _spy_batches(monkeypatch)
+    pairs = _pairs(simulate(inst, policy))
+    assert pairs == reference_simulate(inst, policy)
+    assert pairs[0] == (1, 20)
+    assert built == [(0, 1, []), (1, 2, [0]), (2, 8, [0, 1])]
 
-    def spy(index, *args):
-        calls.append(len(index))
-        return sorted_live(index, *args)
 
-    monkeypatch.setattr(engine, "_sorted_live", spy)
-    assert _pairs(simulate(inst, policy)) == reference_simulate(inst, policy)
-    # The first bucket, then every other one in a single pull-in.
-    assert len(calls) == 2
-    assert calls[1] == len(times)
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_unsorted_events_are_pulled_in_before_they_can_fire(metric, monkeypatch):
+    # With windows of 4 events most batches leave events unsorted, and the
+    # scan must sort them in before the head's tie cluster reaches them.
+    _force(monkeypatch, "batches")
+    pulled = []
+    live = engine._live
+
+    def spy(times, early, late, matched_np, above=-math.inf):
+        if above > -math.inf:
+            pulled.append(above)
+        return live(times, early, late, matched_np, above)
+
+    monkeypatch.setattr(engine, "_live", spy)
+    for seed in range(3):
+        inst = gen_random(24, seed, metric=metric, bipartite=seed == 2)
+        _assert_agrees_with_reference(inst, (0.5, 2.0))
+    assert len(pulled) > 10
+
+
+def test_time_outlier_agrees_with_rescan_reference(builder):
+    # One request arrives long after the rest: the last arrival batch waits
+    # for it alone, while every other pair has long fired.
+    for metric in ("line", "euclidean", "finite"):
+        for bipartite in (False, True):
+            inst = gen_random(24, 5, metric=metric, bipartite=bipartite)
+            late = inst.requests[7]
+            inst = Instance(
+                inst.space,
+                inst.requests[:7]
+                + (Request(late.id, TimedPoint(late.location, 1e6), late.color),)
+                + inst.requests[8:],
+                bipartite=bipartite,
+            )
+            _assert_agrees_with_reference(inst, (0.5, 2.0))
 
 
 def _longest_stale_run(instance, policy, records):
-    """Longest run of stale events the scan skips at one step of the run.
+    """Longest run of stale events a full sort skips at one step of the run.
 
-    Replays the records in firing order over the sorted events: before each
-    step the scan's head moves past every stale event to the first live one.
+    Replays the records in firing order over every event sorted at once:
+    before each step the head moves past every stale event to the first
+    live one.
     """
     requests = instance.requests
     position = {r.id: k for k, r in enumerate(requests)}
-    _, early, late, _ = _sorted_events(requests, instance.space, policy)
+    _, early, late = _sorted_events(requests, instance.space, policy)
     matched = np.zeros(len(requests), dtype=bool)
     head = longest = 0
     for rec in records:
@@ -635,10 +689,19 @@ def _longest_stale_run(instance, policy, records):
 @pytest.mark.parametrize("m", [24, 32, 48])
 @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
 @pytest.mark.parametrize("bipartite", [False, True])
-def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, deadline):
+def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, monkeypatch, deadline):
     # At these sizes some steps skip more stale events than the scalar check
     # covers, so the scan tests whole windows, and at least one window is
     # all stale and must advance.
+    skipped = []
+    next_live = engine._next_live
+
+    def spy(early, late, matched_np, head):
+        found = next_live(early, late, matched_np, head)
+        skipped.append(found - head)
+        return found
+
+    monkeypatch.setattr(engine, "_next_live", spy)
     inst = gen_random(m, m + 7, metric=metric, dim=2, n_points=4, bipartite=bipartite)
     longest = 0
     for kind in _kinds(inst):
@@ -649,6 +712,18 @@ def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, 
             assert engine_pairs == reference_simulate(inst, policy)
             longest = max(longest, _longest_stale_run(inst, policy, records))
     assert longest > 2 * SCALAR_SKIP
+    # The engine's scan itself skipped SCALAR_SKIP stale events one by one and
+    # then more than SCALAR_SKIP in windows at one step.
+    assert max(skipped) > SCALAR_SKIP
+
+
+def _scalar_events(policy, requests, space, pairs):
+    """(time, later id, earlier id) of each admissible pair of positions, sorted."""
+    return sorted(
+        (event_time(policy, requests[i], requests[j], space), requests[j].id, requests[i].id)
+        for i, j in pairs
+        if event_time(policy, requests[i], requests[j], space) != math.inf
+    )
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -659,22 +734,39 @@ def test_sorted_events_equal_scalar_firing_rule(seed, monkeypatch):
         14, seed, metric=["line", "euclidean", "finite"][seed % 3], bipartite=True
     )
     requests = inst.requests
+    m = len(requests)
+    loc = [r.location for r in requests]
+    arrival = np.array([r.time for r in requests], dtype=float)
     for kind, name in itertools.product(_kinds(inst), ("arrays", "kernel")):
         _force(monkeypatch, name)
         policy = Policy(kind, 0.7)
-        times, early, late, _ = _sorted_events(requests, inst.space, policy)
+        times, early, late = _sorted_events(requests, inst.space, policy)
         got = [
             (t, requests[j].id, requests[i].id)
             for t, i, j in zip(times.tolist(), early.tolist(), late.tolist())
         ]
-        expected = sorted(
-            (event_time(policy, a, b, inst.space), b.id, a.id)
-            for i, a in enumerate(requests)
-            for b in requests[i + 1 :]
-            if event_time(policy, a, b, inst.space) != math.inf
-        )
+        expected = _scalar_events(policy, requests, inst.space, itertools.combinations(range(m), 2))
         assert times.tolist() == sorted(times.tolist())
         assert sorted(got) == expected
+        # The engine's batches: positions start..m-1 pair with each other and
+        # with the pending positions, all of them or every other one.
+        colors = None
+        if kind == HEMISPHERE_BIPARTITE:
+            colors = np.array([r.color for r in requests], dtype=np.int8)
+        for start, step in itertools.product((0, 1, m // 2), (1, 2)):
+            pending = np.arange(0, start, step, dtype=np.int32)
+            times, early, late = engine._batch_events(
+                inst.space, policy, loc, arrival, colors, pending, start, m
+            )
+            assert early.dtype == late.dtype == np.int32
+            got = sorted(
+                (t, requests[j].id, requests[i].id)
+                for t, i, j in zip(times.tolist(), early.tolist(), late.tolist())
+            )
+            pairs = [
+                (i, j) for j in range(start, m) for i in pending.tolist() + list(range(start, j))
+            ]
+            assert got == _scalar_events(policy, requests, inst.space, pairs)
 
 
 @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
