@@ -53,7 +53,7 @@ for bit.  The array builder takes each pair's distance from
 an m-by-m distance matrix, and makes the pair indices arithmetically,
 without an m-by-m mask.  Memory follows the pairs built, at about 16 bytes
 per event held (its time and two int32 positions): one hemisphere run in the
-plane peaked at 103 MB of RSS at m=8192, 21 MB over the interpreter.  The
+plane peaked at 59 MB of RSS at m=8192, 22 MB over the interpreter.  The
 worst case is still O(m^2): when every request is pending at once, as when
 all arrive at one time, every pair is built in one batch, and such a run
 peaked at about 30 bytes per pair, when the scan joins the batch's events
@@ -91,11 +91,11 @@ NOTIME_EARLY = "notime-early"
 POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIME_EARLY)
 
 # Largest request count of an instance.  A run holds memory for the pairs
-# it builds: one hemisphere run on the line peaked at 85 MB of RSS at m=8192
-# and one in the plane at 103 MB, but a run in which every request is pending
+# it builds: one hemisphere run on the line peaked at 40 MB of RSS at m=8192
+# and one in the plane at 59 MB, but a run in which every request is pending
 # at once builds all m(m-1)/2 pairs: with every request at one time the peak
-# was 336 MB at m=4096 and 1.1 GB at m=8192, about 30 bytes per pair over an
-# 80 MB interpreter, which extrapolates to 4.2 GB at m=16384.
+# was 256 MB over the interpreter at m=4096 and 1.0 GB at m=8192, about 30
+# bytes per pair, which extrapolates to 4 GB at m=16384.
 REQUEST_COUNT_MAX = 8192
 
 # Absolute tolerance under which two event times are considered tied.

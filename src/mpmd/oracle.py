@@ -13,7 +13,8 @@ at m=20, against 2**19 even-sized subsets).  Each such layer is one table
 of combinations in colex order, and the child a pairing leaves has a
 closed-form colex rank, so a layer is solved by a few numpy operations:
 O(m * F(m+1)) work, guarded at 20 requests.  The bipartite solver reduces
-to the assignment problem.  A brute-force enumerator over all (m-1)!!
+to the assignment problem; it imports ``scipy.optimize`` on its first call, so
+nothing else in mpmd loads scipy.  A brute-force enumerator over all (m-1)!!
 matchings serves as an independent cross-check for small m.
 """
 
@@ -25,7 +26,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from mpmd.engine import Instance, RunReport, augmented_by_id, simulate
 from mpmd.metric import MetricSpace, augmented_distance, distance, pairwise
@@ -208,6 +208,9 @@ def opt_bipartite(instance: Instance) -> Matching:
     ones = sorted((r for r in instance.requests if r.color == 1), key=lambda r: r.id)
     if not zeros:
         return Matching(pairs=(), weight=0.0)
+    # Imported here: scipy.optimize takes most of ``import mpmd``'s time.
+    from scipy.optimize import linear_sum_assignment
+
     cost = _augmented_matrix(instance.space, zeros, ones)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(zeros[i].id, ones[j].id) for i, j in zip(rows, cols)]
@@ -219,7 +222,10 @@ def brute_force_opt(instance: Instance) -> Matching:
 
     Enumerates pair lists in lexicographic order (color-crossing only on
     bipartite instances), so strict improvement yields the lexicographically
-    smallest optimum.  Guarded at BRUTE_FORCE_MAX requests.
+    smallest optimum.  A branch is cut once its partial weight reaches the
+    best complete weight: weights are non-negative and adding one never
+    lowers a float sum, so a cut branch could not strictly improve.  Guarded
+    at BRUTE_FORCE_MAX requests.
     """
     requests = sorted(instance.requests, key=lambda r: r.id)
     m = len(requests)
@@ -238,10 +244,11 @@ def brute_force_opt(instance: Instance) -> Matching:
 
     def extend(remaining: list[int], acc: list[tuple[int, int]], acc_w: float) -> None:
         nonlocal best_weight, best_pairs
+        if acc_w >= best_weight:
+            return
         if not remaining:
-            if acc_w < best_weight:
-                best_weight = acc_w
-                best_pairs = list(acc)
+            best_weight = acc_w
+            best_pairs = list(acc)
             return
         i = remaining[0]
         for pos in range(1, len(remaining)):

@@ -1,0 +1,66 @@
+"""``scipy.optimize`` loads only when a bipartite optimum is solved.
+
+Importing it takes most of ``import mpmd``'s time, so each test starts a
+fresh interpreter (``sys.modules`` of this one already holds it) and reports
+what that process loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter with src on the path; parse its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    result = run_fresh(
+        "import json, sys\n"
+        "import mpmd, mpmd.cli\n"
+        "print(json.dumps({'loaded': 'scipy.optimize' in sys.modules}))\n"
+    )
+    assert result == {"loaded": False}
+
+
+def test_cli_gen_run_sweep_leave_scipy_optimize_unloaded():
+    result = run_fresh(
+        "import json, os, sys, tempfile\n"
+        "from click.testing import CliRunner\n"
+        "from mpmd.cli import main\n"
+        "runner = CliRunner()\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'lb.json')\n"
+        "codes = [\n"
+        "    runner.invoke(main, ['gen', 'lower-bound', '--k', '4', '--epsilon', '1', '-o', path]).exit_code,\n"
+        "    runner.invoke(main, ['run', '-i', path, '--policy', 'hemisphere', '--epsilon', '1']).exit_code,\n"
+        "    runner.invoke(main, ['sweep', '--family', 'lower-bound', '--k-min', '2', '--k-max', '4']).exit_code,\n"
+        "]\n"
+        "print(json.dumps({'codes': codes, 'loaded': 'scipy.optimize' in sys.modules}))\n"
+    )
+    assert result == {"codes": [0, 0, 0], "loaded": False}
+
+
+def test_opt_bipartite_loads_scipy_optimize_and_matches_brute_force():
+    result = run_fresh(
+        "import json, sys\n"
+        "from mpmd.instances import gen_random\n"
+        "from mpmd.oracle import brute_force_opt, opt_bipartite\n"
+        "inst = gen_random(6, 3, metric='euclidean', bipartite=True)\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "got = opt_bipartite(inst)\n"
+        "want = brute_force_opt(inst)\n"
+        "print(json.dumps({'before': before, 'after': 'scipy.optimize' in sys.modules,\n"
+        "                  'equal': got == want}))\n"
+    )
+    assert result == {"before": False, "after": True, "equal": True}

@@ -521,6 +521,80 @@ class TestBruteForce:
         assert matching.weight == 3.0
 
 
+def _pairings(indices):
+    """Every perfect matching of ``indices`` as a pair list, in lexicographic order."""
+    if not indices:
+        yield []
+        return
+    first, rest = indices[0], indices[1:]
+    for pos, partner in enumerate(rest):
+        for tail in _pairings(rest[:pos] + rest[pos + 1 :]):
+            yield [(first, partner), *tail]
+
+
+def reference_brute_force(instance):
+    """Weigh every perfect matching, with no pruning; test-only reference.
+
+    The first matching in lexicographic order that reaches the least weight
+    wins, each weight summed pair by pair in list order from 0.0.
+    """
+    requests = sorted(instance.requests, key=lambda r: r.id)
+    best = None
+    for pairing in _pairings(list(range(len(requests)))):
+        if instance.bipartite and any(
+            requests[i].color == requests[j].color for i, j in pairing
+        ):
+            continue
+        weight = 0.0
+        for i, j in pairing:
+            weight += augmented_distance(instance.space, requests[i].point, requests[j].point)
+        if best is None or weight < best[0]:
+            best = (weight, pairing)
+    return Matching.from_pairs(
+        [(requests[i].id, requests[j].id) for i, j in best[1]], instance
+    )
+
+
+def _all_ties(m, bipartite):
+    """m requests at one time on m points, every two points 1 apart: all matchings tie."""
+    names = [f"p{i}" for i in range(m)]
+    space = MetricSpace.finite(names, [[float(p != q) for q in names] for p in names])
+    return Instance(
+        space,
+        tuple(
+            Request(id=i, point=TimedPoint(names[i], 0.0), color=i % 2 if bipartite else None)
+            for i in range(m)
+        ),
+        bipartite=bipartite,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda m, seed: gen_random(m, seed, metric="line"), id="line"),
+        pytest.param(
+            lambda m, seed: gen_random(m, seed, metric="finite", n_points=4), id="finite4"
+        ),
+        pytest.param(
+            lambda m, seed: gen_random(m, seed, metric="euclidean", bipartite=True),
+            id="bipartite-euclidean",
+        ),
+        pytest.param(
+            lambda m, seed: gen_random(m, seed, metric="line", bipartite=True),
+            id="bipartite-line",
+        ),
+        pytest.param(lambda m, seed: _all_ties(m, bipartite=False), id="all-ties"),
+        pytest.param(lambda m, seed: _all_ties(m, bipartite=True), id="all-ties-bipartite"),
+    ],
+)
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_brute_force_equals_unpruned_reference(make, m):
+    for seed in range(3):
+        inst = make(m, seed)
+        assert brute_force_opt(inst) == reference_brute_force(inst)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     m=st.integers(min_value=1, max_value=5).map(lambda h: 2 * h),
