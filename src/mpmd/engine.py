@@ -34,30 +34,30 @@ when the head's tie cluster reaches its bound.  Of all pairs, the
 benchmark's runs (line, plane and a bipartite finite:4 space at m=1024, the
 cascade at k=10 and rows at m=512) built 4 to 29 percent and sorted 0.7 to 6
 percent, counting events sorted again.  An event whose endpoint is already
-matched is stale and skipped: one by one in the tuple scan; in the array
-scan up to ``SCALAR_SKIP`` of them one by one, then in windows of doubling
-width, each tested at once with numpy, until a window holds a live event.
-At the first live event the scan gathers the tie cluster and fires the live
-member with the smallest id key (later-arrival id, then earlier id); the
-other members stay in place for the next step.  Pairs thus fire in a
-deterministic order: by event time, with times within ``TIME_TIE_TOL`` of
-the earliest live one ordered by the id key, which depends only on which
-requests are matched, not on how or when the events were built and sorted.
-The tolerance is absolute, so it means less as times grow: near 4.5e6 one
-ulp of a double is about 1e-9, the tolerance itself, and from 2**23 (about
-8.4e6) on a cluster holds only exactly equal times.  Each record, and the
-offline weight, come from the fired pair's own d, gap and wait, computed by
-the same IEEE operations in both builders, so their reports are equal bit
-for bit.  The array builder takes each pair's distance from
+matched is stale, and both scans skip it one by one.  Each sort of the array
+scan holds only live events, so the scan passes over each sorted event at
+most once and its skips cost no more than the sort.  At the first live event
+the scan gathers the tie cluster and fires the live member with the smallest
+id key (later-arrival id, then earlier id); the other members stay in place
+for the next step.  Pairs thus fire in a deterministic order: by event time,
+with times within ``TIME_TIE_TOL`` of the earliest live one ordered by the
+id key, which depends only on which requests are matched, not on how or when
+the events were built and sorted.  The tolerance is absolute, so it means
+less as times grow: near 4.5e6 one ulp of a double is about 1e-9, the
+tolerance itself, and from 2**23 (about 8.4e6) on a cluster holds only
+exactly equal times.  Each record, and the offline weight, come from the
+fired pair's own d, gap and wait, computed by the same IEEE operations in
+both builders, so their reports are equal bit for bit.  The array builder takes each pair's distance from
 ``pair_distances`` over the batch's requests and the pending ones, without
 an m-by-m distance matrix, and makes the pair indices arithmetically,
 without an m-by-m mask.  Memory follows the pairs built, at about 16 bytes
 per event held (its time and two int32 positions): one hemisphere run in the
 plane peaked at 59 MB of RSS at m=8192, 22 MB over the interpreter.  The
 worst case is still O(m^2): when every request is pending at once, as when
-all arrive at one time, every pair is built in one batch, and such a run
-peaked at about 30 bytes per pair, when the scan joins the batch's events
-to the live ones it already holds.
+all arrive at one time, every pair is built in one batch.  Such a run of
+4,096 requests peaked at 361 MB over the interpreter on the line and 321 MB
+in the plane, about 45 and 40 bytes per pair, when the scan joins the
+batch's events to the live ones it already holds.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -94,20 +94,13 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # it builds: one hemisphere run on the line peaked at 40 MB of RSS at m=8192
 # and one in the plane at 59 MB, but a run in which every request is pending
 # at once builds all m(m-1)/2 pairs: with every request at one time the peak
-# was 256 MB over the interpreter at m=4096 and 1.0 GB at m=8192, about 30
-# bytes per pair, which extrapolates to 4 GB at m=16384.
+# at m=4096 was 361 MB over the interpreter on the line and 321 MB in the
+# plane, about 45 and 40 bytes per pair, which extrapolates to about 1.5 GB
+# at m=8192 and 6 GB at m=16384.
 REQUEST_COUNT_MAX = 8192
 
 # Absolute tolerance under which two event times are considered tied.
 TIME_TIE_TOL = 1e-9
-
-# Stale events the array scan skips one at a time before it tests whole
-# windows, and the first window's width.  A numpy window costs microseconds at
-# any width and most steps skip only a few stale events, so the scalar check
-# comes first: when every run used the array scan, windows alone made the
-# verify benchmark 20% slower, and limits of 8 and 128 were slower than 32 on
-# verify and large.
-SCALAR_SKIP = 32
 
 # Largest request count whose events simulate builds, sorts and scans as
 # Python tuples rather than numpy arrays.  Per call on random hemisphere runs
@@ -350,6 +343,9 @@ def _batch_events(
             sides.append(_prefix_pairs(own, np.searchsorted(other, own).astype(np.int32), other))
         early, late = (np.concatenate(side) for side in zip(*sides))
     first = int(members[0])
+    # Contiguous members, as in a first batch, are sliced and their positions
+    # offset rather than gathered: with every pair in one batch, gathering
+    # would take 8 more bytes per pair at the peak.
     contiguous = int(members[-1]) - first + 1 == len(members)
     if contiguous:
         points, t_members = loc[first : first + len(members)], t[first : first + len(members)]
@@ -409,25 +405,6 @@ def _sorted_window(times, early, late, horizon: float):
             times, early, late = times[near], early[near], late[near]
     order = np.argsort(times)
     return times[order], early[order], late[order], reserve
-
-
-def _next_live(early, late, matched_np, head: int) -> int:
-    """Position of the first live event at or after head, or the event count.
-
-    Tests windows [head, head + w) of the sorted events, doubling w, so a
-    long run of stale events costs a few numpy calls rather than a Python
-    step each, and at most about twice the run's length in array work.
-    """
-    n = len(early)
-    width = SCALAR_SKIP
-    while head < n:
-        stop = head + width
-        live = np.flatnonzero((matched_np[early[head:stop]] | matched_np[late[head:stop]]) == 0)
-        if live.size:
-            return head + int(live[0])
-        head = stop
-        width *= 2
-    return n
 
 
 def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tuple:
@@ -509,11 +486,8 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
     n = head = arrived = 0
     fired: list[tuple] = []
     while len(fired) * 2 < m:
-        stop = min(head + SCALAR_SKIP, n)
-        while head < stop and (matched[early_at[head]] or matched[late_at[head]]):
+        while head < n and (matched[early_at[head]] or matched[late_at[head]]):
             head += 1
-        if head == stop:
-            head = _next_live(early, late, matched_np, head)
         limit = time_at[head] + TIME_TIE_TOL if head < n else math.inf
         # No event fires before its later request arrives, so the events not
         # built yet are later than limit unless the next arrival is not.

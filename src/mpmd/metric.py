@@ -53,10 +53,10 @@ FINITE_POINTS_MAX = 256
 # the numpy kernel ``_norms`` rather than one ``math.dist`` call each.  The
 # kernel costs about 40 us a call at any size.  Per plane call (2-vCPU Xeon
 # VM), kernel against math.dist: pairwise 4x4 39 vs 3 us, 20x20 48 vs 31 us,
-# 32x32 63 vs 70 us, 64x64 126 vs 251 us; a square of 45 points (990
-# distances) 84 vs 98 us; pair_distances of 1,128 pairs 69 vs 100 us.  So
-# the break-even is near 1,000 distances, above every matrix ``verify``
-# builds (at most 66) and the m=20 runs of the exact optimum (190).
+# 32x32 63 vs 70 us, 64x64 126 vs 251 us; pair_distances of 1,128 pairs 69
+# vs 100 us.  So the break-even is near 1,000 distances, above every matrix
+# ``verify`` builds (at most 144) and the m=20 runs of the exact optimum
+# (400).
 VECTOR_DISTANCES_MIN = 1024
 
 # Doubles of scratch per block of the numpy kernel: each pair of a block takes
@@ -185,6 +185,13 @@ class MetricSpace:
     def positions(self) -> dict[str, int]:
         """Position of each named point of a finite space, by name."""
         return {name: k for k, name in enumerate(self.points)}
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The finite space's distance matrix as a read-only float array."""
+        out = np.array(self.matrix, dtype=float)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -346,16 +353,13 @@ def _coordinates(points, dim: int) -> np.ndarray:
     return np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), dim).T)
 
 
-def _euclidean_grid(dim: int, a, b, square: bool) -> np.ndarray:
+def _euclidean_grid(dim: int, a, b) -> np.ndarray:
     """``math.dist`` from every point of a to every one of b, through ``_norms``.
 
     Works through blocks of rows by columns of the output, each filled with
-    broadcast differences; a square grid computes the blocks that reach the
-    diagonal or above it and mirrors them, since math.dist is symmetric bit
-    for bit.
+    broadcast differences.
     """
-    xa = _coordinates(a, dim)
-    xb = xa if square else _coordinates(b, dim)
+    xa, xb = _coordinates(a, dim), _coordinates(b, dim)
     rows_a, rows_b = len(a), len(b)
     per_block = max(1, _BLOCK_CELLS // (dim + 12))
     cols = max(1, min(rows_b, per_block))
@@ -366,7 +370,7 @@ def _euclidean_grid(dim: int, a, b, square: bool) -> np.ndarray:
     with np.errstate(all="ignore"):
         for r0 in range(0, rows_a, rows):
             r1 = min(r0 + rows, rows_a)
-            for c0 in range(r0 if square else 0, rows_b, cols):
+            for c0 in range(0, rows_b, cols):
                 c1 = min(c0 + cols, rows_b)
                 shape = (r1 - r0, c1 - c0)
                 n = shape[0] * shape[1]
@@ -377,8 +381,6 @@ def _euclidean_grid(dim: int, a, b, square: bool) -> np.ndarray:
                 np.abs(block, out=block)
                 _norms(block, work[11, :n], work)
                 out[r0:r1, c0:c1] = work[11, :n].reshape(shape)
-                if square:
-                    out[c0:c1, r0:r1] = out[r0:r1, c0:c1].T
     return out
 
 
@@ -414,38 +416,26 @@ def pairwise(space: MetricSpace, a, b=None) -> np.ndarray:
     """Matrix of spatial distances from every point in a to every one in b.
 
     a and b are sequences of points of the space.  Entry [i, j] equals
-    ``distance(space, a[i], b[j])`` bit for bit.  Without b the matrix is the
-    symmetric one of a against itself.  Euclidean entries come from
-    ``math.dist`` itself, or from ``_norms`` once a call asks for
-    ``VECTOR_DISTANCES_MIN`` distances or more.
+    ``distance(space, a[i], b[j])`` bit for bit.  Without b the matrix is
+    that of a against itself.  Euclidean entries come from ``math.dist``
+    itself, or from ``_norms`` once a call asks for ``VECTOR_DISTANCES_MIN``
+    distances or more.
     """
-    square = b is None
-    if square:
+    if b is None:
         b = a
     if space.kind == LINE:
         x = np.array(a, dtype=float)
-        y = x if square else np.array(b, dtype=float)
-        out = x[:, None] - y[None, :]
+        out = x[:, None] - np.array(b, dtype=float)[None, :]
         return np.abs(out, out=out)
     if space.kind == EUCLIDEAN:
-        wanted = len(a) * (len(a) - 1) // 2 if square else len(a) * len(b)
-        if wanted >= VECTOR_DISTANCES_MIN:
-            return _euclidean_grid(space.dim, a, b, square)
-        if not square:
-            out = np.empty((len(a), len(b)))
-            for i, p in enumerate(a):
-                out[i] = list(map(math.dist, repeat(p), b))
-            return out
-        # math.dist is symmetric bit for bit: fill the upper triangle, mirror it.
-        out = np.zeros((len(a), len(a)))
+        if len(a) * len(b) >= VECTOR_DISTANCES_MIN:
+            return _euclidean_grid(space.dim, a, b)
+        out = np.empty((len(a), len(b)))
         for i, p in enumerate(a):
-            out[i, i + 1 :] = list(map(math.dist, repeat(p), a[i + 1 :]))
-            out[i + 1 :, i] = out[i, i + 1 :]
+            out[i] = list(map(math.dist, repeat(p), b))
         return out
     if space.kind == FINITE:
-        rows = _finite_rows(space, a)
-        cols = rows if square else _finite_rows(space, b)
-        return np.array(space.matrix)[np.ix_(rows, cols)]
+        return space.distances[np.ix_(_finite_rows(space, a), _finite_rows(space, b))]
     raise ValueError(f"unknown metric kind {space.kind!r}")
 
 
@@ -471,7 +461,7 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
         return np.array(list(map(math.dist, left, right)), dtype=float)
     if space.kind == FINITE:
         rows = np.array(_finite_rows(space, points), dtype=np.intp)
-        return np.array(space.matrix)[rows[i], rows[j]]
+        return space.distances[rows[i], rows[j]]
     raise ValueError(f"unknown metric kind {space.kind!r}")
 
 

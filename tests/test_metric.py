@@ -229,10 +229,22 @@ def test_pairwise_empty_and_unknown_name():
         pairwise(finite_ab, ["A", "C"])
 
 
+def test_finite_distances_array_is_built_once_and_read_only():
+    rng = random.Random(3)
+    space = _space("finite", rng)
+    array = space.distances
+    assert array.tolist() == [list(row) for row in space.matrix]
+    assert space.distances is array
+    with pytest.raises(ValueError, match="read-only"):
+        array[0, 1] = 1.0
+    # The callers' results are copies, which they may write to.
+    assert pairwise(space, ["p0", "p1"]).flags.writeable
+
+
 # (VECTOR_DISTANCES_MIN, _BLOCK_CELLS): the real cut-off, which sends small
 # calls to math.dist and large ones to the numpy kernel; the kernel for every
 # call; and the kernel in blocks of a few pairs, so that blocks split rows and
-# columns and a square grid mirrors many blocks.
+# columns.
 DISTANCE_PATHS = {
     "cut-off": (VECTOR_DISTANCES_MIN, metric_layer._BLOCK_CELLS),
     "kernel": (0, metric_layer._BLOCK_CELLS),
@@ -278,9 +290,9 @@ def test_euclidean_distances_equal_math_dist_bit_for_bit(distance_path, dim):
     space = MetricSpace.euclidean(dim)
     a = _hard_points(dim, rng)
     n = len(a)
-    # 47 points: the square asks for 1,081 distances, the rectangle for 1,128
-    # and the pair list for 2,209, all above the cut-off; the 9-point slices
-    # and the first 50 pairs fall below it.
+    # 47 points: the square and the pair list ask for 2,209 distances and the
+    # rectangle for 1,128, all above the cut-off; the 9-point slices and the
+    # first 50 pairs fall below it.
     for points in (a, a[:9]):
         square = pairwise(space, points)
         assert _bits(square.ravel()) == _bits(math.dist(p, q) for p in points for q in points)
