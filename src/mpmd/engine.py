@@ -44,11 +44,13 @@ with times within ``TIME_TIE_TOL`` of the earliest live one ordered by the
 id key, which depends only on which requests are matched, not on how or when
 the events were built and sorted.  The tolerance is absolute, so it means
 less as times grow: near 4.5e6 one ulp of a double is about 1e-9, the
-tolerance itself, and from 2**23 (about 8.4e6) on a cluster holds only
-exactly equal times.  Each record, and the offline weight, come from the
-fired pair's own d, gap and wait, computed by the same IEEE operations in
-both builders, so their reports are equal bit for bit.  The array builder takes each pair's distance from
-``pair_distances`` over the batch's requests and the pending ones, without
+tolerance itself.  Below 2**24 (about 1.7e7) the head's time plus the
+tolerance still rounds up to the next double, so a cluster can span one ulp
+(1.9e-9 in [2**23, 2**24)); from 2**24 on it holds only exactly equal times.
+Each record, and the offline weight, come from the fired pair's own d, gap
+and wait, computed by the same IEEE operations in both builders, so their
+reports are equal bit for bit.  The array builder takes each pair's distance
+from ``pair_distances`` over the batch's requests and the pending ones, without
 an m-by-m distance matrix, and makes the pair indices arithmetically,
 without an m-by-m mask.  Memory follows the pairs built, at about 16 bytes
 per event held (its time and two int32 positions): one hemisphere run in the

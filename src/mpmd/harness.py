@@ -199,6 +199,8 @@ def fit_log2_slope(ms, ratios) -> float:
     """Least-squares slope of log2(ratio) against log2(m), with intercept."""
     if len(ms) != len(ratios) or len(ms) < 2:
         raise ValueError("need at least two (m, ratio) points")
+    if len(set(ms)) < 2:
+        raise ValueError("need at least two distinct m values")
     xs = [math.log2(m) for m in ms]
     ys = [math.log2(r) for r in ratios]
     n = len(xs)

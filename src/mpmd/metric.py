@@ -8,10 +8,10 @@ the absolute time difference to the spatial distance and is itself a metric.
 All values are finite double-precision reals and comparisons here are exact;
 any tolerance handling belongs to the simulation layer, where events are
 ordered.  Each space's scalar formula lives in ``distance_kernel``, which
-trusts its points; ``distance`` validates them first.  ``pairwise``
-tabulates many distances at once, and ``pair_distances`` takes them for a
-list of index pairs; both agree with ``distance`` bit for bit, so callers
-may use any of them.
+trusts its points; ``distance`` validates them first.  ``pair_distances``,
+the one array path, takes many distances at once for a list of index pairs,
+and agrees with ``distance`` bit for bit; a table of every row against every
+column is one call over index grids, as the oracle builds its matrices.
 
 The Euclidean formula is ``math.dist``.  numpy's square root of a sum of
 squares, and ``np.hypot``, differ from it in the last bit on some pairs, so
@@ -28,7 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -51,19 +50,19 @@ FINITE_POINTS_MAX = 256
 
 # Fewest distances one call must ask for before Euclidean distances come from
 # the numpy kernel ``_norms`` rather than one ``math.dist`` call each.  The
-# kernel costs about 40 us a call at any size.  Per plane call (2-vCPU Xeon
-# VM), kernel against math.dist: pairwise 4x4 39 vs 3 us, 20x20 48 vs 31 us,
-# 32x32 63 vs 70 us, 64x64 126 vs 251 us; pair_distances of 1,128 pairs 69
-# vs 100 us.  So the break-even is near 1,000 distances, above every matrix
-# ``verify`` builds (at most 144) and the m=20 runs of the exact optimum
-# (400).
+# kernel costs 60 to 95 us a call at the smallest sizes.  Per plane call of
+# ``pair_distances`` over a grid of rows by columns (shared 2-vCPU Xeon VM,
+# median of three runs), kernel against math.dist: 4x4 88 vs 6 us, 20x20 136
+# vs 102 us, 32x32 212 vs 253 us, 64x64 410 vs 980 us.  So the break-even is
+# near 1,000 distances, above every table ``verify`` builds (at most 144) and
+# the m=20 runs of the exact optimum (400).
 VECTOR_DISTANCES_MIN = 1024
 
 # Doubles of scratch per block of the numpy kernel: each pair of a block takes
 # one per coordinate and 12 more, so a block stays about 1 MB, in cache, at
-# any dimension.  A plane pairwise of 1,000 by 1,000 points (2-vCPU Xeon VM)
-# took 21 ms at this size, 26 ms at half of it and 20 ms at 1.5 times, and
-# 55 ms through math.dist.
+# any dimension.  A plane ``pair_distances`` over a 1,000-by-1,000 grid
+# (shared 2-vCPU Xeon VM, median of three runs) took 63 ms at this size, 92 ms
+# at half of it and 71 ms at 1.5 times, and 297 ms through math.dist.
 _BLOCK_CELLS = 131072
 
 # 2**27 + 1: x * _SPLITTER splits a double into halves whose products are
@@ -353,37 +352,6 @@ def _coordinates(points, dim: int) -> np.ndarray:
     return np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), dim).T)
 
 
-def _euclidean_grid(dim: int, a, b) -> np.ndarray:
-    """``math.dist`` from every point of a to every one of b, through ``_norms``.
-
-    Works through blocks of rows by columns of the output, each filled with
-    broadcast differences.
-    """
-    xa, xb = _coordinates(a, dim), _coordinates(b, dim)
-    rows_a, rows_b = len(a), len(b)
-    per_block = max(1, _BLOCK_CELLS // (dim + 12))
-    cols = max(1, min(rows_b, per_block))
-    rows = max(1, per_block // cols)
-    v = np.empty((dim, rows * cols))
-    work = np.empty((12, rows * cols))
-    out = np.empty((rows_a, rows_b))
-    with np.errstate(all="ignore"):
-        for r0 in range(0, rows_a, rows):
-            r1 = min(r0 + rows, rows_a)
-            for c0 in range(0, rows_b, cols):
-                c1 = min(c0 + cols, rows_b)
-                shape = (r1 - r0, c1 - c0)
-                n = shape[0] * shape[1]
-                for c in range(dim):
-                    diff = v[c, :n].reshape(shape)
-                    np.subtract(xa[c, r0:r1, None], xb[c, None, c0:c1], out=diff)
-                block = v[:, :n]
-                np.abs(block, out=block)
-                _norms(block, work[11, :n], work)
-                out[r0:r1, c0:c1] = work[11, :n].reshape(shape)
-    return out
-
-
 def _euclidean_pairs(dim: int, points, i, j) -> np.ndarray:
     """``math.dist(points[i[k]], points[j[k]])`` for every k, through ``_norms``."""
     x = _coordinates(points, dim)
@@ -412,41 +380,15 @@ def _finite_rows(space: MetricSpace, points) -> list[int]:
         raise ValueError(f"unknown point name {exc.args[0]!r}") from None
 
 
-def pairwise(space: MetricSpace, a, b=None) -> np.ndarray:
-    """Matrix of spatial distances from every point in a to every one in b.
-
-    a and b are sequences of points of the space.  Entry [i, j] equals
-    ``distance(space, a[i], b[j])`` bit for bit.  Without b the matrix is
-    that of a against itself.  Euclidean entries come from ``math.dist``
-    itself, or from ``_norms`` once a call asks for ``VECTOR_DISTANCES_MIN``
-    distances or more.
-    """
-    if b is None:
-        b = a
-    if space.kind == LINE:
-        x = np.array(a, dtype=float)
-        out = x[:, None] - np.array(b, dtype=float)[None, :]
-        return np.abs(out, out=out)
-    if space.kind == EUCLIDEAN:
-        if len(a) * len(b) >= VECTOR_DISTANCES_MIN:
-            return _euclidean_grid(space.dim, a, b)
-        out = np.empty((len(a), len(b)))
-        for i, p in enumerate(a):
-            out[i] = list(map(math.dist, repeat(p), b))
-        return out
-    if space.kind == FINITE:
-        return space.distances[np.ix_(_finite_rows(space, a), _finite_rows(space, b))]
-    raise ValueError(f"unknown metric kind {space.kind!r}")
-
-
 def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
     """Spatial distance from points[i[k]] to points[j[k]], for every k.
 
     points is a sequence of points of the space; i and j are integer arrays
     of one length, indexing it.  Entry k equals ``distance(space,
-    points[i[k]], points[j[k]])`` bit for bit, like ``pairwise``, and uses
-    ``_norms`` on as many Euclidean pairs as ``pairwise`` does, but no
-    matrix: the work and memory follow the pairs asked for.
+    points[i[k]], points[j[k]])`` bit for bit.  Euclidean entries come from
+    ``math.dist`` itself, or from ``_norms`` once a call asks for
+    ``VECTOR_DISTANCES_MIN`` distances or more.  The work and memory follow
+    the pairs asked for; a table is one call over index grids.
     """
     if space.kind == LINE:
         x = np.array(points, dtype=float)
@@ -460,8 +402,13 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
         right = [points[k] for k in j.tolist()]
         return np.array(list(map(math.dist, left, right)), dtype=float)
     if space.kind == FINITE:
-        rows = np.array(_finite_rows(space, points), dtype=np.intp)
-        return space.distances[rows[i], rows[j]]
+        # One int32 flat index per pair, not two intp row gathers, which
+        # would take twice the memory of the distances they fetch.
+        rows = np.array(_finite_rows(space, points), dtype=np.int32)
+        flat = rows[i]
+        flat *= len(space.points)
+        flat += rows[j]
+        return space.distances.ravel()[flat]
     raise ValueError(f"unknown metric kind {space.kind!r}")
 
 

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from mpmd.engine import Instance, RunReport, augmented_by_id, simulate
-from mpmd.metric import MetricSpace, augmented_distance, distance, pairwise
+from mpmd.metric import MetricSpace, augmented_distance, distance, pair_distances
 
 GENERAL_OPT_MAX = 20
 BRUTE_FORCE_MAX = 10
@@ -93,19 +93,24 @@ class Cycle:
 def _augmented_matrix(space: MetricSpace, rows, cols=None) -> np.ndarray:
     """Time-augmented distances between two request lists (cols defaults to rows).
 
-    Each entry is the spatial distance plus the absolute time difference, the
-    operations of ``augmented_distance`` in its order, so the two agree bit
-    for bit.
+    Entry [r, c] is the spatial distance from rows[r] to cols[c] plus the
+    absolute time difference, the operations of ``augmented_distance`` in its
+    order, so the two agree bit for bit.  The distances are one
+    ``pair_distances`` call over the row locations followed by the column
+    locations, with int32 index grids, made in one allocation and freed
+    before the time term is added: building the table takes at most 3 times
+    its own size.
     """
-    same = cols is None
-    if same:
-        cols = rows
-    w = pairwise(
-        space, [r.location for r in rows], None if same else [r.location for r in cols]
-    )
-    t_rows = np.array([r.time for r in rows], dtype=float)
-    t_cols = t_rows if same else np.array([r.time for r in cols], dtype=float)
-    w += np.abs(t_rows[:, None] - t_cols[None, :])
+    requests = list(rows) + list(rows if cols is None else cols)
+    n_rows = len(rows)
+    n_cols = len(requests) - n_rows
+    i, j = np.indices((n_rows, n_cols), dtype=np.int32).reshape(2, -1)
+    j += n_rows
+    w = pair_distances(space, [r.location for r in requests], i, j).reshape(n_rows, n_cols)
+    del i, j
+    t = np.array([r.time for r in requests], dtype=float)
+    gap = t[:n_rows, None] - t[None, n_rows:]
+    w += np.abs(gap, out=gap)
     return w
 
 

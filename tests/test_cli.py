@@ -341,7 +341,12 @@ def test_request_count_cap_is_in_the_help(runner):
 
 @pytest.mark.parametrize(
     "m_list, message",
-    [("0", "m must be >= 8, got 0"), ("16,abc", "--m-list"), ("16, 2.5", "--m-list")],
+    [
+        ("0", "m must be >= 8, got 0"),
+        ("16,abc", "--m-list"),
+        ("16, 2.5", "--m-list"),
+        ("16,16", "need at least two distinct m values"),
+    ],
 )
 def test_sweep_rejects_bad_m_list(runner, m_list, message):
     result = invoke(runner, "sweep", "--family", "appendix-b", "--m-list", m_list)

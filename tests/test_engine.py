@@ -21,6 +21,7 @@ from mpmd.engine import (
     REQUEST_COUNT_MAX,
     SMALL_RUN_MAX,
     SORT_WINDOW,
+    TIME_TIE_TOL,
     Instance,
     MatchRecord,
     Policy,
@@ -515,6 +516,24 @@ def test_time_shift_keeps_pair_list(builder, shift):
                         assert _pairs(simulate(shifted, policy)) == _pairs(simulate(inst, policy))
 
 
+@pytest.mark.parametrize("exponent", [22, 23, 24])
+def test_tie_cluster_spans_one_ulp_below_2_to_the_24(builder, exponent):
+    # TIME_TIE_TOL is absolute.  Below 2**24, t + TIME_TIE_TOL rounds up to
+    # the next double after t (one ulp is 1.86e-9 at 2**23), so (1, 2), one
+    # ulp later, joins the cluster of (3, 4) and fires first by the id key.
+    # From 2**24 (one ulp 3.7e-9) it rounds down to t: a cluster holds only
+    # equal times, and (3, 4) fires first by time.
+    t = 2.0**exponent + 0.5
+    later = math.nextafter(t, math.inf)
+    spans_one_ulp = exponent < 24
+    assert (t + TIME_TIE_TOL > t) == spans_one_ulp
+    inst = Instance(
+        LINE, (req(3, 0.0, t), req(4, 0.0, t), req(1, 100.0, later), req(2, 100.0, later))
+    )
+    pairs = _pairs(simulate(inst, Policy(NOTIME_LATE, 1.0)))
+    assert pairs == ([(1, 2), (3, 4)] if spans_one_ulp else [(3, 4), (1, 2)])
+
+
 FLOAT_FIELDS = ("match_time", "connection", "delay_p", "delay_q")
 
 
@@ -688,7 +707,7 @@ def _longest_stale_run(instance, policy, records):
 @pytest.mark.parametrize("m", [24, 32, 48])
 @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
 @pytest.mark.parametrize("bipartite", [False, True])
-def test_windowed_stale_skip_agrees_with_rescan_reference(m, metric, bipartite, deadline):
+def test_long_stale_runs_agree_with_rescan_reference(m, metric, bipartite, deadline):
     # At these sizes some steps of a full sort pass over long runs of stale
     # events, which the scan skips one by one.
     inst = gen_random(m, m + 7, metric=metric, dim=2, n_points=4, bipartite=bipartite)

@@ -89,6 +89,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_log2_slope([8], [1.0])
 
+    def test_needs_two_distinct_m_values(self):
+        # With one m the slope's denominator is 0.
+        with pytest.raises(ValueError, match="need at least two distinct m values"):
+            fit_log2_slope([16, 16], [1.5, 1.5])
+
 
 class TestComputeRatio:
     def test_cascade_k2(self):

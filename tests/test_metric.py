@@ -17,7 +17,6 @@ from mpmd.metric import (
     augmented_distance,
     distance,
     pair_distances,
-    pairwise,
     validate_metric,
     validate_point,
 )
@@ -199,34 +198,35 @@ def _space(kind: str, rng) -> MetricSpace:
     return MetricSpace.finite([f"p{i}" for i in range(5)], matrix)
 
 
+def _grid(rows: int, cols: int, first_col: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """int32 index lists of every (row, column) pair, row by row: the rows are
+    positions 0..rows-1 and the columns first_col..first_col+cols-1."""
+    i = np.repeat(np.arange(rows, dtype=np.int32), cols)
+    j = np.tile(np.arange(first_col, first_col + cols, dtype=np.int32), rows)
+    return i, j
+
+
 @pytest.mark.parametrize("kind", ["line", "euclidean2", "euclidean3", "finite"])
 @pytest.mark.parametrize("seed", range(3))
-def test_pairwise_is_bit_equal_to_distance(kind, seed):
+def test_pair_distances_on_grids_are_bit_equal_to_distance(kind, seed):
     # Compared with ==: sqrt of a sum of squares or np.hypot would differ from
     # math.dist in the last bit on a share of these pairs.
-    import random
-
     rng = random.Random(seed)
     space = _space(kind, rng)
     a = _random_locations(kind, 60, rng)
     b = _random_locations(kind, 25, rng)
-    square = pairwise(space, a)
-    assert square.shape == (60, 60)
-    for i, p in enumerate(a):
-        for j, q in enumerate(a):
-            assert square[i, j] == distance(space, p, q)
-    rect = pairwise(space, a, b)
-    assert rect.shape == (60, 25)
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            assert rect[i, j] == distance(space, p, q)
+    square = pair_distances(space, a, *_grid(60, 60))
+    assert _bits(square) == _bits(distance(space, p, q) for p in a for q in a)
+    rect = pair_distances(space, a + b, *_grid(60, 25, 60))
+    assert _bits(rect) == _bits(distance(space, p, q) for p in a for q in b)
 
 
-def test_pairwise_empty_and_unknown_name():
-    assert pairwise(MetricSpace.euclidean(2), []).shape == (0, 0)
-    assert pairwise(MetricSpace.line(), [], [1.0]).shape == (0, 1)
+def test_pair_distances_empty_and_unknown_name():
+    empty = np.array([], dtype=np.int32)
+    assert pair_distances(MetricSpace.euclidean(2), [], empty, empty).shape == (0,)
+    assert pair_distances(MetricSpace.line(), [1.0], empty, empty).shape == (0,)
     with pytest.raises(ValueError, match="unknown point name 'C'"):
-        pairwise(finite_ab, ["A", "C"])
+        pair_distances(finite_ab, ["A", "C"], *_grid(2, 2))
 
 
 def test_finite_distances_array_is_built_once_and_read_only():
@@ -238,7 +238,7 @@ def test_finite_distances_array_is_built_once_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         array[0, 1] = 1.0
     # The callers' results are copies, which they may write to.
-    assert pairwise(space, ["p0", "p1"]).flags.writeable
+    assert pair_distances(space, ["p0", "p1"], *_grid(2, 2)).flags.writeable
 
 
 # (VECTOR_DISTANCES_MIN, _BLOCK_CELLS): the real cut-off, which sends small
@@ -290,16 +290,15 @@ def test_euclidean_distances_equal_math_dist_bit_for_bit(distance_path, dim):
     space = MetricSpace.euclidean(dim)
     a = _hard_points(dim, rng)
     n = len(a)
-    # 47 points: the square and the pair list ask for 2,209 distances and the
-    # rectangle for 1,128, all above the cut-off; the 9-point slices and the
-    # first 50 pairs fall below it.
+    # 47 points: the square grid and the pair list ask for 2,209 distances and
+    # the rectangle for 1,128, all above the cut-off; the 9-point grids and
+    # the first 50 pairs fall below it.
     for points in (a, a[:9]):
-        square = pairwise(space, points)
-        assert _bits(square.ravel()) == _bits(math.dist(p, q) for p in points for q in points)
+        square = pair_distances(space, points, *_grid(len(points), len(points)))
+        assert _bits(square) == _bits(math.dist(p, q) for p in points for q in points)
     for rows, cols in ((a, a[::2]), (a[:9], a[:7]), (a[:1], a)):
-        rect = pairwise(space, rows, cols)
-        assert rect.shape == (len(rows), len(cols))
-        assert _bits(rect.ravel()) == _bits(math.dist(p, q) for p in rows for q in cols)
+        rect = pair_distances(space, rows + cols, *_grid(len(rows), len(cols), len(rows)))
+        assert _bits(rect) == _bits(math.dist(p, q) for p in rows for q in cols)
     i, j = (k.astype(np.int32) for k in np.nonzero(np.ones((n, n), dtype=bool)))
     for take in (slice(None), slice(0, 50)):
         got = pair_distances(space, a, i[take], j[take])
@@ -308,23 +307,21 @@ def test_euclidean_distances_equal_math_dist_bit_for_bit(distance_path, dim):
 
 
 @pytest.mark.parametrize("kind", ["line", "euclidean2", "finite"])
-def test_pair_distances_equal_pairwise_entries(distance_path, kind):
+def test_pair_distances_on_random_pairs_equal_distance(distance_path, kind):
     rng = random.Random(5)
     space = _space(kind, rng)
     points = _random_locations(kind, 60, rng)
     i = np.array([rng.randrange(60) for _ in range(1500)], dtype=np.int32)
     j = np.array([rng.randrange(60) for _ in range(1500)], dtype=np.int32)
-    expected = pairwise(space, points)[i, j]
+    expected = (distance(space, points[p], points[q]) for p, q in zip(i.tolist(), j.tolist()))
     assert _bits(pair_distances(space, points, i, j)) == _bits(expected)
 
 
 def test_empty_inputs_through_the_kernel(monkeypatch):
     monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", 0)
     space = MetricSpace.euclidean(3)
-    assert pairwise(space, []).shape == (0, 0)
-    assert pairwise(space, [], [(1.0, 2.0, 3.0)]).shape == (0, 1)
-    assert pairwise(space, [(1.0, 2.0, 3.0)], []).shape == (1, 0)
     empty = np.array([], dtype=np.int32)
+    assert pair_distances(space, [], empty, empty).shape == (0,)
     assert pair_distances(space, [(1.0, 2.0, 3.0)], empty, empty).shape == (0,)
 
 

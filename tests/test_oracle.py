@@ -68,6 +68,23 @@ def test_augmented_matrix_is_bit_equal_to_augmented_distance(metric):
                 assert w[i, j] == augmented_distance(inst.space, a.point, b.point)
 
 
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_augmented_matrix_peaks_at_three_tables(metric):
+    # The index grids (one table's size), the distances and, on the line, a
+    # gather temporary: at most 3 tables at a time.  Two intp row gathers in
+    # the finite branch would make it 4.
+    inst = gen_random(1024, 2, metric=metric, bipartite=True)
+    zeros = sorted((r for r in inst.requests if r.color == 0), key=lambda r: r.id)
+    ones = sorted((r for r in inst.requests if r.color == 1), key=lambda r: r.id)
+    tracemalloc.start()
+    try:
+        w = _augmented_matrix(inst.space, zeros, ones)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * w.nbytes
+
+
 class TestOptGeneral:
     def test_forced_pair(self):
         inst = Instance(LINE, (req(1, 0.0, 10.0), req(2, 4.0, 2.0)))
