@@ -18,7 +18,7 @@ optimum, so measured ratios only understate the true ones).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from mpmd.engine import (
     HEMISPHERE,
@@ -114,20 +114,8 @@ class RatioReport:
     bound_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "metric_kind": self.metric_kind,
-            "bipartite": self.bipartite,
-            "policy": self.policy_kind,
-            "epsilon": self.epsilon,
-            "online_cost": self.online_cost,
-            "offline_weight": self.offline_weight,
-            "opt_weight": self.opt_weight,
-            "ratio_online": self.ratio_online,
-            "ratio_offline": self.ratio_offline,
-            "bound_2_over_f": self.bound_2_over_f,
-            "bound_ok": self.bound_ok,
-        }
+        """The fields in order, with ``policy_kind`` written as "policy"."""
+        return {"policy" if k == "policy_kind" else k: v for k, v in asdict(self).items()}
 
 
 def optimum_for(instance: Instance, policy: Policy) -> Matching:
@@ -255,6 +243,17 @@ def _sweep_point(
     )
 
 
+def _refuse_repeats(name: str, ordered) -> None:
+    """Raise ValueError naming a value that the sorted sweep list holds twice:
+    its point would be simulated twice and count twice in the fitted slope.
+    A list of one distinct value is left to ``fit_log2_slope`` to refuse."""
+    if len(set(ordered)) < 2:
+        return
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise ValueError(f"{name}={a} is given more than once")
+
+
 def sweep_lower_bound(
     k_values,
     epsilon: float,
@@ -267,6 +266,7 @@ def sweep_lower_bound(
     params = [
         LowerBoundParams(k=k, epsilon=epsilon, eta=eta) for k in sorted(k_values, reverse=True)
     ]
+    _refuse_repeats("k", [p.k for p in params])
     rows = [_sweep_point("lower-bound", gen_lower_bound(p), policy) for p in reversed(params)]
     slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
     return SweepResult(
@@ -292,6 +292,7 @@ def sweep_two_point_rows(
         TwoPointRowsParams(m=m, delta=1.0 / max(m, 1) if delta is None else delta)
         for m in sorted(m_values)
     ]
+    _refuse_repeats("m", [p.m for p in params])
     rows = [_sweep_point("appendix-b", gen_two_point_rows(p), policy) for p in params]
     slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
     return SweepResult(

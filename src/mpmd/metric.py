@@ -10,16 +10,19 @@ any tolerance handling belongs to the simulation layer, where events are
 ordered.  Each space's scalar formula lives in ``distance_kernel``, which
 trusts its points; ``distance`` validates them first.  ``pair_distances``,
 the one array path, takes many distances at once for a list of index pairs,
-and agrees with ``distance`` bit for bit; a table of every row against every
-column is one call over index grids, as the oracle builds its matrices.
+in blocks that stay in cache, and agrees with ``distance`` bit for bit; a
+table of every row against every column is one call over index grids, as
+the oracle builds its matrices.  A finite space's block gathers matrix
+entries; the line's and Euclidean space's take coordinate differences.
 
 The Euclidean formula is ``math.dist``.  numpy's square root of a sum of
 squares, and ``np.hypot``, differ from it in the last bit on some pairs, so
-many distances at once come from ``_norms``: CPython's own algorithm
-(``vector_norm`` in Modules/mathmodule.c), transcribed one IEEE operation
-at a time onto arrays, in blocks that stay in cache.  It pays only from
-about a thousand distances a call, so calls asking for fewer than
-``VECTOR_DISTANCES_MIN`` still call ``math.dist`` once per pair.
+blocks of differences go through ``_norms``: CPython's own algorithm
+(``vector_norm`` in Modules/mathmodule.c), transcribed one IEEE operation at
+a time onto arrays, which in one dimension, the line's, is the absolute
+value.  It pays only from about a thousand distances a call, so Euclidean
+calls asking for fewer than ``VECTOR_DISTANCES_MIN`` still call
+``math.dist`` once per pair.
 """
 
 from __future__ import annotations
@@ -58,11 +61,11 @@ FINITE_POINTS_MAX = 256
 # the m=20 runs of the exact optimum (400).
 VECTOR_DISTANCES_MIN = 1024
 
-# Doubles of scratch per block of the numpy kernel: each pair of a block takes
-# one per coordinate and 12 more, so a block stays about 1 MB, in cache, at
-# any dimension.  A plane ``pair_distances`` over a 1,000-by-1,000 grid
-# (shared 2-vCPU Xeon VM, median of three runs) took 63 ms at this size, 92 ms
-# at half of it and 71 ms at 1.5 times, and 297 ms through math.dist.
+# Doubles of scratch per block of ``pair_distances``: one per coordinate and
+# 12 more per pair, about 1 MB, in cache, at any dimension.  A 1,000-by-1,000
+# grid (shared 2-vCPU Xeon VM, median of nine interleaved calls) took, at this
+# size, half of it and 1.5 times: line 8.4, 10.2 and 8.5 ms; finite:4 15.0,
+# 16.4 and 15.3 ms; plane 75, 93 and 82 ms, and 390 ms through math.dist.
 _BLOCK_CELLS = 131072
 
 # 2**27 + 1: x * _SPLITTER splits a double into halves whose products are
@@ -347,31 +350,6 @@ def _norms(v: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
             out[k] = math.hypot(*v[:, k].tolist())
 
 
-def _coordinates(points, dim: int) -> np.ndarray:
-    """Euclidean points as a (dim, n) array: one contiguous row per coordinate."""
-    return np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), dim).T)
-
-
-def _euclidean_pairs(dim: int, points, i, j) -> np.ndarray:
-    """``math.dist(points[i[k]], points[j[k]])`` for every k, through ``_norms``."""
-    x = _coordinates(points, dim)
-    step = max(1, _BLOCK_CELLS // (dim + 12))
-    v = np.empty((dim, step))
-    work = np.empty((11, step))
-    out = np.empty(len(i))
-    with np.errstate(all="ignore"):
-        for s in range(0, len(i), step):
-            e = min(s + step, len(i))
-            # Fancy indexing is several times faster with intp indices.
-            i_block, j_block = i[s:e].astype(np.intp), j[s:e].astype(np.intp)
-            for c, row in enumerate(x):
-                np.subtract(row[i_block], row[j_block], out=v[c, : e - s])
-            block = v[:, : e - s]
-            np.abs(block, out=block)
-            _norms(block, out[s:e], work)
-    return out
-
-
 def _finite_rows(space: MetricSpace, points) -> list[int]:
     index = space.positions
     try:
@@ -385,31 +363,42 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
 
     points is a sequence of points of the space; i and j are integer arrays
     of one length, indexing it.  Entry k equals ``distance(space,
-    points[i[k]], points[j[k]])`` bit for bit.  Euclidean entries come from
-    ``math.dist`` itself, or from ``_norms`` once a call asks for
-    ``VECTOR_DISTANCES_MIN`` distances or more.  The work and memory follow
-    the pairs asked for; a table is one call over index grids.
+    points[i[k]], points[j[k]])`` bit for bit.  One loop runs over blocks of
+    ``_BLOCK_CELLS // (dim + 12)`` pairs, each converting its own indices to
+    intp: a finite space gathers matrix entries, and the line (dim 1) and
+    Euclidean space take ``_norms`` of the absolute coordinate differences.
+    Euclidean calls asking for fewer than ``VECTOR_DISTANCES_MIN`` distances
+    call ``math.dist`` once per pair.  A table is one call over index grids.
     """
-    if space.kind == LINE:
-        x = np.array(points, dtype=float)
-        out = x[i]
-        out -= x[j]
-        return np.abs(out, out=out)
-    if space.kind == EUCLIDEAN:
-        if len(i) >= VECTOR_DISTANCES_MIN:
-            return _euclidean_pairs(space.dim, points, i, j)
+    if space.kind == EUCLIDEAN and len(i) < VECTOR_DISTANCES_MIN:
         left = [points[k] for k in i.tolist()]
         right = [points[k] for k in j.tolist()]
         return np.array(list(map(math.dist, left, right)), dtype=float)
     if space.kind == FINITE:
-        # One int32 flat index per pair, not two intp row gathers, which
-        # would take twice the memory of the distances they fetch.
-        rows = np.array(_finite_rows(space, points), dtype=np.int32)
-        flat = rows[i]
-        flat *= len(space.points)
-        flat += rows[j]
-        return space.distances.ravel()[flat]
-    raise ValueError(f"unknown metric kind {space.kind!r}")
+        rows = np.array(_finite_rows(space, points), dtype=np.intp)
+    elif space.kind in (LINE, EUCLIDEAN):
+        # One contiguous row per coordinate.
+        x = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), space.dim).T)
+    else:
+        raise ValueError(f"unknown metric kind {space.kind!r}")
+    step = max(1, min(len(i), _BLOCK_CELLS // (space.dim + 12)))
+    v = np.empty((space.dim, step))
+    work = np.empty((11, step))
+    out = np.empty(len(i))
+    with np.errstate(all="ignore"):
+        for s in range(0, len(i), step):
+            e = min(s + step, len(i))
+            # Fancy indexing is several times faster with intp indices.
+            i_block, j_block = i[s:e].astype(np.intp), j[s:e].astype(np.intp)
+            if space.kind == FINITE:
+                out[s:e] = space.distances[rows[i_block], rows[j_block]]
+                continue
+            for c, row in enumerate(x):
+                np.subtract(row[i_block], row[j_block], out=v[c, : e - s])
+            block = v[:, : e - s]
+            np.abs(block, out=block)
+            _norms(block, out[s:e], work)
+    return out
 
 
 def augmented_distance(space: MetricSpace, p: TimedPoint, q: TimedPoint) -> float:

@@ -346,6 +346,7 @@ def test_request_count_cap_is_in_the_help(runner):
         ("16,abc", "--m-list"),
         ("16, 2.5", "--m-list"),
         ("16,16", "need at least two distinct m values"),
+        ("16,16,32", "m=16 is given more than once"),
     ],
 )
 def test_sweep_rejects_bad_m_list(runner, m_list, message):

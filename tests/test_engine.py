@@ -577,11 +577,17 @@ DEGENERATE_TIMES = {
     "overflow": [-8e307] * 4 + [8e307] * 4,
     "subnormal": [0.0] * 4 + [5e-324] * 4,
 }
+# Those at one place, and locations near +-1e308 whose differences overflow
+# to an infinite distance.
+DEGENERATE_INPUTS = {case: _same_place(times) for case, times in DEGENERATE_TIMES.items()}
+DEGENERATE_INPUTS["far-apart"] = Instance(
+    LINE, tuple(req(k + 1, (-1.0) ** k * 1e308, float(k)) for k in range(8))
+)
 
 
-@pytest.mark.parametrize("case", sorted(DEGENERATE_TIMES))
+@pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
 def test_degenerate_times_need_no_warning(case, monkeypatch):
-    inst = _same_place(DEGENERATE_TIMES[case])
+    inst = DEGENERATE_INPUTS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind in _kinds(inst):

@@ -177,3 +177,8 @@ class TestSweeps:
         c = sweep_two_point_rows([16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
         d = sweep_two_point_rows([16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
         assert c == d
+
+    def test_repeated_k_is_refused(self):
+        # A repeated point would be simulated twice and count twice in the slope.
+        with pytest.raises(ValueError, match="k=3 is given more than once"):
+            sweep_lower_bound([3, 2, 3], epsilon=1.0)
