@@ -61,8 +61,7 @@ from mpmd.harness import (
     compute_ratio,
     eval_f,
     fit_log2_slope,
-    sweep_lower_bound,
-    sweep_two_point_rows,
+    sweep,
     theoretical_bound,
 )
 

@@ -3,24 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
 
 import mpmd
-from mpmd.engine import (
-    HEMISPHERE,
-    NOTIME_MIN,
-    POLICY_KINDS,
-    Policy,
-    simulate,
-)
-from mpmd.harness import (
-    compute_ratio,
-    sweep_lower_bound,
-    sweep_two_point_rows,
-    theoretical_bound,
-)
+from mpmd.engine import POLICY_KINDS, Policy, simulate
+from mpmd.harness import compute_ratio, sweep, theoretical_bound
 from mpmd.instances import (
     DEFAULT_ETA,
     LOWER_BOUND_K_MAX,
@@ -200,8 +190,12 @@ def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
     instance = load_instance(instance_path)
     report = compute_ratio(instance, Policy(kind=policy, epsilon=epsilon))
     payload = {"meta": _meta(instance=instance_digest(instance))}
-    payload.update(report.to_dict())
-    click.echo(json.dumps(payload, indent=2))
+    # A ratio against an optimum of weight 0 is infinite, which JSON cannot hold.
+    payload.update(
+        (k, None if isinstance(v, float) and not math.isfinite(v) else v)
+        for k, v in report.to_dict().items()
+    )
+    click.echo(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _parse_m_list(ctx, param, value: str) -> list[int]:
@@ -243,23 +237,11 @@ def sweep_cmd(
 ) -> None:
     """Ratio growth of a policy over an adversarial family."""
     if family == "lower-bound":
-        result = sweep_lower_bound(
-            range(k_min, k_max + 1),
-            epsilon,
-            eta=eta,
-            policy_kind=policy or HEMISPHERE,
-        )
+        values, own = range(k_min, k_max + 1), {"eta": eta}
     else:
-        result = sweep_two_point_rows(
-            m_list, epsilon, delta=delta, policy_kind=policy or NOTIME_MIN
-        )
-    meta = _meta(
-        family=result.family,
-        policy=result.policy_kind,
-        epsilon=result.epsilon,
-        eta=eta if family == "lower-bound" else None,
-        delta=delta,
-    )
+        values, own = m_list, {"delta": delta}
+    result = sweep(family, values, epsilon, policy_kind=policy, **own)
+    meta = _meta(family=family, policy=result.policy_kind, epsilon=epsilon, **own)
     lines = [f"# {json.dumps(meta, sort_keys=True)}"]
     lines.append("m,ratio_online,ratio_offline,opt_exact,instance")
     for row in result.rows:
@@ -274,7 +256,8 @@ def sweep_cmd(
 
 
 @main.command("bound")
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=int, required=True,
+              help=f"Even request count, at most {REQUEST_COUNT_MAX}.")
 @click.option("--epsilon", type=float, required=True)
 def bound_cmd(m: int, epsilon: float) -> None:
     """Theoretical offline-ratio bound 2/f(m) at gamma = 3 + epsilon."""

@@ -9,21 +9,24 @@ whose reciprocal bounds the offline weight ratio of the hemisphere policy:
 with gamma = 3 + epsilon, the policy's matching weighs at most 2 / f(m)
 times the offline optimum.  The table obeys f(2k) >= (2 / gamma)**log2(k).
 
-Sweeps run a policy over one of the adversarial families for growing m and
-fit the log-log slope of the offline ratio.  Beyond the exact-oracle guard
-the optimum is replaced by an explicit cheap matching (an upper bound on the
-optimum, so measured ratios only understate the true ones).
+``sweep`` runs a policy over either adversarial family for growing m and
+fits the log-log slope of the offline ratio; what differs between the two
+families is written once, in ``_FAMILIES``.  Beyond the exact-oracle guard
+the optimum is replaced by the family's explicit cheap matching (an upper
+bound on the optimum, so measured ratios only understate the true ones).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from mpmd.engine import (
     HEMISPHERE,
     HEMISPHERE_BIPARTITE,
     NOTIME_MIN,
+    REQUEST_COUNT_MAX,
     Instance,
     Policy,
     augmented_by_id,
@@ -82,11 +85,12 @@ def eval_f(m_max: int, gamma: float) -> FTable:
 def theoretical_bound(m: int, epsilon: float) -> float:
     """Upper bound 2 / f(m) on the hemisphere policy's offline weight ratio.
 
-    Raises ValueError when the bound exceeds the largest double, as it does
-    once f(m) underflows for a huge epsilon.
+    m is at most ``REQUEST_COUNT_MAX``, the largest instance, since the table
+    costs O(m^2) time.  Raises ValueError when the bound exceeds the largest
+    double, as it does once f(m) underflows for a huge epsilon.
     """
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"m must be an even integer >= 2, got {m}")
+    if m < 2 or m % 2 != 0 or m > REQUEST_COUNT_MAX:
+        raise ValueError(f"m must be an even integer from 2 to {REQUEST_COUNT_MAX}, got m={m}")
     if not (is_finite_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and strictly positive, got {epsilon}")
     f_m = eval_f(m, 3.0 + epsilon).value(m)
@@ -199,106 +203,98 @@ def fit_log2_slope(ms, ratios) -> float:
     return sxy / sxx
 
 
-def _pair_weight(instance: Instance, pairs) -> float:
-    dist = augmented_by_id(instance)
-    return sum(dist(p, q) for p, q in pairs)
+def _rows_pairs(m: int) -> list[tuple[int, int]]:
+    """The first and last requests of each row matched across rows, then the
+    short intra-row gap pairs of each row."""
+    half = m // 2
+    inner = [(s + i, s + i + 1) for s in (1, half + 1) for i in range(1, half - 2, 2)]
+    return [(1, half + 1), (half, m)] + inner
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What a sweep knows of one adversarial family: the name of its swept
+    value, the policy swept when none is named, its checked params from
+    (value, epsilon, eta, delta), its generator, and the pairs of its explicit
+    cheap matching on m requests."""
+
+    swept: str
+    policy_kind: str
+    params: Callable
+    generate: Callable
+    reference_pairs: Callable[[int], list[tuple[int, int]]]
+
+
+_FAMILIES = {
+    # The single-point cascade; its reference pairs are (1,2), (3,4), ...
+    "lower-bound": _Family(
+        "k",
+        HEMISPHERE,
+        lambda k, epsilon, eta, delta: LowerBoundParams(k=k, epsilon=epsilon, eta=eta),
+        gen_lower_bound,
+        lambda m: [(i, i + 1) for i in range(1, m, 2)],
+    ),
+    # The two-point rows.  The params reject an m of 0 for its m, so max()
+    # only keeps the default delta of 1/m from dividing by 0.
+    "appendix-b": _Family(
+        "m",
+        NOTIME_MIN,
+        lambda m, epsilon, eta, delta: TwoPointRowsParams(
+            m=m, delta=1.0 / max(m, 1) if delta is None else delta
+        ),
+        gen_two_point_rows,
+        _rows_pairs,
+    ),
+}
 
 
 def reference_matching_weight(family: str, instance: Instance) -> float:
     """Weight of the family's explicit cheap matching (upper bound on opt).
 
-    Single-point cascade: all consecutive unit pairs (1,2), (3,4), ...
-    Two-point rows: the short intra-row gap pairs plus the first and last
-    requests of each row matched across rows.
-    """
-    m = instance.size
-    if family == "lower-bound":
-        return _pair_weight(instance, [(i, i + 1) for i in range(1, m, 2)])
-    if family == "appendix-b":
-        half = m // 2
-        pairs = [(1, half + 1), (half, m)]
-        for row_start in (1, half + 1):
-            pairs.extend(
-                (row_start + i, row_start + i + 1) for i in range(1, half - 2, 2)
-            )
-        return _pair_weight(instance, pairs)
-    raise ValueError(f"unknown family {family!r}")
+    A function of its own so that its distance table is freed on return, not
+    kept by ``sweep``'s loop through the next, larger row's run."""
+    dist = augmented_by_id(instance)
+    return sum(dist(p, q) for p, q in _FAMILIES[family].reference_pairs(instance.size))
 
 
-def _sweep_point(
-    family: str, instance: Instance, policy: Policy
-) -> SweepRow:
-    report = simulate(instance, policy)
-    exact = instance.size <= GENERAL_OPT_MAX
-    if exact:
-        opt_weight = opt_general(instance).weight
-    else:
-        opt_weight = reference_matching_weight(family, instance)
-    return SweepRow(
-        m=instance.size,
-        ratio_online=report.online_cost / opt_weight,
-        ratio_offline=report.offline_weight / opt_weight,
-        opt_exact=exact,
-        digest=instance_digest(instance),
-    )
-
-
-def _refuse_repeats(name: str, ordered) -> None:
-    """Raise ValueError naming a value that the sorted sweep list holds twice:
-    its point would be simulated twice and count twice in the fitted slope.
-    A list of one distinct value is left to ``fit_log2_slope`` to refuse."""
-    if len(set(ordered)) < 2:
-        return
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            raise ValueError(f"{name}={a} is given more than once")
-
-
-def sweep_lower_bound(
-    k_values,
+def sweep(
+    family: str,
+    values,
     epsilon: float,
+    *,
     eta: float = DEFAULT_ETA,
-    policy_kind: str = HEMISPHERE,
-) -> SweepResult:
-    """Run the policy over the single-point cascade for each k and fit the slope."""
-    policy = Policy(kind=policy_kind, epsilon=epsilon)
-    # Every k is checked, the largest first, before any instance is built.
-    params = [
-        LowerBoundParams(k=k, epsilon=epsilon, eta=eta) for k in sorted(k_values, reverse=True)
-    ]
-    _refuse_repeats("k", [p.k for p in params])
-    rows = [_sweep_point("lower-bound", gen_lower_bound(p), policy) for p in reversed(params)]
-    slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
-    return SweepResult(
-        family="lower-bound",
-        policy_kind=policy_kind,
-        epsilon=epsilon,
-        rows=tuple(rows),
-        slope=slope,
-    )
-
-
-def sweep_two_point_rows(
-    m_values,
-    epsilon: float,
     delta: float | None = None,
-    policy_kind: str = NOTIME_MIN,
+    policy_kind: str | None = None,
 ) -> SweepResult:
-    """Run the policy over the two-point rows for each m; delta defaults to 1/m."""
-    policy = Policy(kind=policy_kind, epsilon=epsilon)
-    # Every m is checked before any instance is built.  The params reject an
-    # m of 0 for its m, so max() only keeps its default delta from dividing by 0.
-    params = [
-        TwoPointRowsParams(m=m, delta=1.0 / max(m, 1) if delta is None else delta)
-        for m in sorted(m_values)
-    ]
-    _refuse_repeats("m", [p.m for p in params])
-    rows = [_sweep_point("appendix-b", gen_two_point_rows(p), policy) for p in params]
+    """Run a policy over ``lower-bound`` (the cascade, swept over k, tie gap
+    ``eta``) or ``appendix-b`` (the rows, swept over m, gap ``delta``, 1/m when
+    None) for each value and fit the slope of the offline ratio."""
+    spec = _FAMILIES[family]
+    policy = Policy(kind=policy_kind or spec.policy_kind, epsilon=epsilon)
+    # Every value is checked, the largest first, before any instance is built.
+    ordered = sorted(values, reverse=True)
+    params = [spec.params(value, epsilon, eta, delta) for value in ordered]
+    # A repeated value would be simulated twice and count twice in the slope;
+    # a single distinct value is left for fit_log2_slope to refuse.
+    repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    if repeats and len(set(ordered)) > 1:
+        raise ValueError(f"{spec.swept}={repeats[0]} is given more than once")
+    rows = []
+    for instance in map(spec.generate, reversed(params)):
+        report = simulate(instance, policy)
+        exact = instance.size <= GENERAL_OPT_MAX
+        if exact:
+            opt_weight = opt_general(instance).weight
+        else:
+            opt_weight = reference_matching_weight(family, instance)
+        rows.append(
+            SweepRow(
+                m=instance.size,
+                ratio_online=report.online_cost / opt_weight,
+                ratio_offline=report.offline_weight / opt_weight,
+                opt_exact=exact,
+                digest=instance_digest(instance),
+            )
+        )
     slope = fit_log2_slope([r.m for r in rows], [r.ratio_offline for r in rows])
-    return SweepResult(
-        family="appendix-b",
-        policy_kind=policy_kind,
-        epsilon=epsilon,
-        rows=tuple(rows),
-        slope=slope,
-    )
+    return SweepResult(family, policy.kind, epsilon, tuple(rows), slope)

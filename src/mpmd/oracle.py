@@ -182,8 +182,6 @@ def opt_general(instance: Instance) -> Matching:
         raise ValueError(
             f"general exact solver is guarded at {GENERAL_OPT_MAX} requests, got {m}"
         )
-    if m == 0:
-        return Matching(pairs=(), weight=0.0)
     w = _augmented_matrix(instance.space, requests).ravel()
     tables = _layer_tables(m)
 
@@ -212,8 +210,6 @@ def opt_bipartite(instance: Instance) -> Matching:
         raise ValueError("bipartite oracle requires a bipartite instance")
     zeros = sorted((r for r in instance.requests if r.color == 0), key=lambda r: r.id)
     ones = sorted((r for r in instance.requests if r.color == 1), key=lambda r: r.id)
-    if not zeros:
-        return Matching(pairs=(), weight=0.0)
     # Imported here: scipy.optimize takes most of ``import mpmd``'s time.
     from scipy.optimize import linear_sum_assignment
 
@@ -239,8 +235,6 @@ def brute_force_opt(instance: Instance) -> Matching:
         raise ValueError(
             f"brute-force oracle is guarded at {BRUTE_FORCE_MAX} requests, got {m}"
         )
-    if m == 0:
-        return Matching(pairs=(), weight=0.0)
     w = _augmented_matrix(instance.space, requests).tolist()
     colors = [r.color for r in requests]
     check_colors = instance.bipartite

@@ -13,7 +13,7 @@ from mpmd.engine import (
     Policy,
     simulate,
 )
-from mpmd.harness import eval_f, sweep_lower_bound, sweep_two_point_rows, theoretical_bound
+from mpmd.harness import eval_f, sweep, theoretical_bound
 from mpmd.instances import (
     LowerBoundParams,
     TwoPointRowsParams,
@@ -98,7 +98,7 @@ def test_criterion_4_cascade_growth_rate():
     least-squares slope over this finite range is 0.375, slightly above the
     window; the assertion states the criterion as written.
     """
-    result = sweep_lower_bound(range(4, 11), epsilon=1.0)
+    result = sweep("lower-bound", range(4, 11), epsilon=1.0)
     target = math.log2(5.0 / 4.0)
     ok = abs(result.slope - target) <= 0.05
     _report(
@@ -142,16 +142,14 @@ def test_criterion_6_recurrence_lower_bound():
 
 def test_criterion_7_two_point_rows_separation():
     """Space-only growth degrades linearly while hemisphere growth stays bounded."""
-    no_time = sweep_two_point_rows([16, 32, 64, 128], epsilon=1.0, policy_kind=NOTIME_MIN)
+    no_time = sweep("appendix-b", [16, 32, 64, 128], epsilon=1.0, policy_kind=NOTIME_MIN)
     rows = no_time.rows
     doublings = [
         rows[i].ratio_online / rows[i - 1].ratio_online for i in range(1, len(rows))
     ]
     top_two = doublings[-2:]
     linear_ok = all(1.7 <= d <= 2.3 for d in top_two)
-    hemisphere = sweep_two_point_rows(
-        [16, 32, 64, 128], epsilon=1.0, policy_kind=HEMISPHERE
-    )
+    hemisphere = sweep("appendix-b", [16, 32, 64, 128], epsilon=1.0, policy_kind=HEMISPHERE)
     bounded_ok = all(
         row.ratio_offline <= theoretical_bound(row.m, 1.0) + 1e-9
         for row in hemisphere.rows

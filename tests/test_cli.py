@@ -103,6 +103,28 @@ def test_ratio_command(runner, tmp_path):
     assert payload["bound_ok"] is True
 
 
+def test_ratio_against_a_zero_weight_optimum_is_strict_json_null(runner, tmp_path):
+    # The optimum pairs each location with itself at weight 0; the run pays 1e-12 per pair.
+    requests = [
+        {"id": 1, "t": 0.0, "loc": 0.0, "color": 0},
+        {"id": 2, "t": 0.0, "loc": 1e-12, "color": 1},
+        {"id": 3, "t": 0.0, "loc": 0.0, "color": 1},
+        {"id": 4, "t": 0.0, "loc": 1e-12, "color": 0},
+    ]
+    path = tmp_path / "zero.json"
+    data = {"metric": {"kind": "line"}, "bipartite": True, "requests": requests}
+    path.write_text(json.dumps(data))
+    result = invoke(runner, "ratio", "-i", path, "--policy", "hemisphere-b", "--epsilon", 1)
+    assert result.exit_code == 0, result.output
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(result.output, parse_constant=refuse)
+    assert payload["opt_weight"] == 0.0 and payload["offline_weight"] > 0
+    assert payload["ratio_online"] is None and payload["ratio_offline"] is None
+
+
 def test_ratio_guard_exits_nonzero(runner, tmp_path):
     path = tmp_path / "big.json"
     save_instance(gen_random(22, 0, metric="line"), path)
@@ -117,7 +139,7 @@ def test_bound_command(runner):
     assert json.loads(result.output)["bound_2_over_f"] == 8.0
 
 
-def test_sweep_lower_bound_csv(runner, tmp_path):
+def test_sweep_cascade_csv(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke(
         runner, "sweep", "--family", "lower-bound", "--k-min", 1, "--k-max", 4,
@@ -133,6 +155,22 @@ def test_sweep_lower_bound_csv(runner, tmp_path):
         "--epsilon", 1, "-o", again,
     )
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, own, other",
+    [
+        (["--family", "lower-bound", "--k-min", 2, "--k-max", 3], ("eta", 1e-6), "delta"),
+        (["--family", "appendix-b", "--m-list", "8,16", "--eta", 0.01], ("delta", 0.3), "eta"),
+    ],
+    ids=["lower-bound", "appendix-b"],
+)
+def test_sweep_header_names_only_the_family_parameter(runner, args, own, other):
+    result = invoke(runner, "sweep", *args, "--delta", 0.3)
+    assert result.exit_code == 0, result.output
+    meta = json.loads(result.output.splitlines()[0].removeprefix("# "))
+    assert meta[own[0]] == own[1]
+    assert other not in meta
 
 
 def test_sweep_appendix_b(runner):
@@ -257,6 +295,14 @@ def test_gen_lower_bound_rejects_infinite_epsilon(runner, tmp_path):
     result = invoke(runner, "gen", "lower-bound", "--k", 2, "--epsilon", "inf", "-o", path)
     assert_usage_error(result, "epsilon must be finite")
     assert not path.exists()
+
+
+def test_bound_above_the_request_count_cap_exits_at_once(runner, deadline):
+    started = time.perf_counter()
+    result = invoke(runner, "bound", "--m", REQUEST_COUNT_MAX + 2, "--epsilon", 1)
+    assert time.perf_counter() - started < 5.0
+    assert result.exit_code == 1
+    assert_usage_error(result, f"m must be an even integer from 2 to {REQUEST_COUNT_MAX}")
 
 
 def test_bound_with_huge_epsilon_exits_with_error(runner):

@@ -10,8 +10,7 @@ from mpmd.harness import (
     eval_f,
     fit_log2_slope,
     reference_matching_weight,
-    sweep_lower_bound,
-    sweep_two_point_rows,
+    sweep,
     theoretical_bound,
 )
 from mpmd.instances import (
@@ -130,14 +129,15 @@ class TestComputeRatio:
 
 class TestSweeps:
     def test_lower_bound_rows_and_exactness(self):
-        result = sweep_lower_bound(range(1, 6), epsilon=1.0)
+        result = sweep("lower-bound", range(1, 6), epsilon=1.0)
         assert [row.m for row in result.rows] == [2, 4, 8, 16, 32]
         assert [row.opt_exact for row in result.rows] == [True, True, True, True, False]
         assert result.rows[0].ratio_offline == pytest.approx(1.0, rel=1e-6)
+        assert (result.family, result.policy_kind) == ("lower-bound", HEMISPHERE)
 
     def test_lower_bound_ratios_match_closed_form(self):
         # Offline ratio follows 2 * (5/4)**(k-1) - 1 at eps = 1.
-        result = sweep_lower_bound(range(4, 9), epsilon=1.0)
+        result = sweep("lower-bound", range(4, 9), epsilon=1.0)
         for row, k in zip(result.rows, range(4, 9)):
             assert row.ratio_offline == pytest.approx(
                 2.0 * 1.25 ** (k - 1) - 1.0, rel=1e-4
@@ -157,28 +157,29 @@ class TestSweeps:
         assert exact.weight <= 4.5 + 1e-9
 
     def test_two_point_rows_linear_growth(self):
-        result = sweep_two_point_rows([16, 32, 64, 128], epsilon=1.0)
+        result = sweep("appendix-b", [16, 32, 64, 128], epsilon=1.0)
+        assert (result.family, result.policy_kind) == ("appendix-b", NOTIME_MIN)
         rows = result.rows
         assert rows[-1].ratio_online / rows[-2].ratio_online == pytest.approx(2.0, rel=0.15)
         assert rows[-2].ratio_online / rows[-3].ratio_online == pytest.approx(2.0, rel=0.15)
         assert result.slope == pytest.approx(1.0, abs=0.1)
 
     def test_hemisphere_stays_bounded_on_two_point_rows(self):
-        result = sweep_two_point_rows(
-            [16, 32, 64, 128], epsilon=1.0, policy_kind=HEMISPHERE
-        )
+        result = sweep("appendix-b", [16, 32, 64, 128], epsilon=1.0, policy_kind=HEMISPHERE)
         for row in result.rows:
             assert row.ratio_offline <= theoretical_bound(row.m, 1.0) + 1e-9
 
     def test_sweep_determinism(self):
-        a = sweep_lower_bound(range(2, 7), epsilon=0.5)
-        b = sweep_lower_bound(range(2, 7), epsilon=0.5)
+        a = sweep("lower-bound", range(2, 7), epsilon=0.5)
+        b = sweep("lower-bound", range(2, 7), epsilon=0.5)
         assert a == b
-        c = sweep_two_point_rows([16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
-        d = sweep_two_point_rows([16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
+        c = sweep("appendix-b", [16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
+        d = sweep("appendix-b", [16, 32], epsilon=1.0, policy_kind=NOTIME_MIN)
         assert c == d
 
-    def test_repeated_k_is_refused(self):
-        # A repeated point would be simulated twice and count twice in the slope.
+    def test_repeated_k_is_refused(self, monkeypatch):
+        # A repeated point would be simulated twice and count twice in the
+        # slope, so it is refused before anything is simulated.
+        monkeypatch.setattr("mpmd.harness.simulate", None)
         with pytest.raises(ValueError, match="k=3 is given more than once"):
-            sweep_lower_bound([3, 2, 3], epsilon=1.0)
+            sweep("lower-bound", [3, 2, 3], epsilon=1.0)

@@ -19,7 +19,7 @@ from mpmd.engine import (
     offline_weight,
     simulate,
 )
-from mpmd.harness import _pair_weight
+from mpmd.harness import sweep
 from mpmd.instances import LowerBoundParams, gen_lower_bound, gen_random
 from mpmd.metric import MetricSpace, TimedPoint, augmented_distance
 from mpmd.oracle import (
@@ -446,8 +446,6 @@ def test_matching_weights_sum_augmented_distance_in_each_callers_order(metric):
         total += aug(p, q)
     assert alg.weight.hex() == total.hex()
 
-    record_pairs = [(rec.p, rec.q) for rec in report.records]
-    assert _pair_weight(inst, record_pairs).hex() == sum(aug(p, q) for p, q in record_pairs).hex()
 
     for cycle in cycle_decompose(alg, opt_general(inst), inst):
         a_len = 0.0
@@ -458,6 +456,28 @@ def test_matching_weights_sum_augmented_distance_in_each_callers_order(metric):
             b_len += aug(u, v)
         assert cycle.a_length.hex() == a_len.hex()
         assert cycle.b_length.hex() == b_len.hex()
+
+
+def test_sweep_divides_beyond_the_guard_by_the_consecutive_pairs_weight():
+    row = sweep("lower-bound", [4, 5], epsilon=1.0).rows[1]
+    assert (row.m, row.opt_exact) == (32, False)
+    inst = gen_lower_bound(LowerBoundParams(k=5, epsilon=1.0))
+    report = simulate(inst, Policy(HEMISPHERE, 1.0))
+    dist = augmented_by_id(inst)
+    total = 0.0
+    for p in range(1, 32, 2):
+        total += dist(p, p + 1)
+    assert row.ratio_online.hex() == (report.online_cost / total).hex()
+    assert row.ratio_offline.hex() == (report.offline_weight / total).hex()
+
+
+@pytest.mark.parametrize(
+    "oracle, bipartite",
+    [(opt_general, False), (opt_general, True), (brute_force_opt, False),
+     (brute_force_opt, True), (opt_bipartite, True)],
+)
+def test_every_oracle_matches_an_empty_instance_with_nothing(oracle, bipartite):
+    assert oracle(Instance(LINE, (), bipartite=bipartite)) == Matching(pairs=(), weight=0.0)
 
 
 def test_augmented_by_id_names_an_unknown_id():
