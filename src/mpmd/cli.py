@@ -37,6 +37,19 @@ def _meta(**fields) -> dict:
     return meta
 
 
+def _json(payload: dict) -> str:
+    """Strict JSON of a payload, each non-finite top-level float written as null.
+
+    A cost can overflow to inf (line locations -1e308 and 1e308), and a ratio
+    against an optimum of weight 0 is infinite; JSON holds neither.
+    """
+    payload = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in payload.items()
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -163,7 +176,7 @@ def run_cmd(instance_path: str, policy: str, epsilon: float, fmt: str, output: s
             "online_cost": report.online_cost,
             "offline_weight": report.offline_weight,
         }
-        _emit(json.dumps(summary, indent=2) + "\n", output)
+        _emit(_json(summary), output)
 
 
 @main.command("opt")
@@ -178,7 +191,7 @@ def opt_cmd(instance_path: str) -> None:
         "weight": matching.weight,
         "pairs": [list(p) for p in matching.pairs],
     }
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(_json(payload), nl=False)
 
 
 @main.command("ratio")
@@ -189,13 +202,8 @@ def ratio_cmd(instance_path: str, policy: str, epsilon: float) -> None:
     """Competitive ratios of one policy run against the exact optimum."""
     instance = load_instance(instance_path)
     report = compute_ratio(instance, Policy(kind=policy, epsilon=epsilon))
-    payload = {"meta": _meta(instance=instance_digest(instance))}
-    # A ratio against an optimum of weight 0 is infinite, which JSON cannot hold.
-    payload.update(
-        (k, None if isinstance(v, float) and not math.isfinite(v) else v)
-        for k, v in report.to_dict().items()
-    )
-    click.echo(json.dumps(payload, indent=2, allow_nan=False))
+    payload = {"meta": _meta(instance=instance_digest(instance)), **report.to_dict()}
+    click.echo(_json(payload), nl=False)
 
 
 def _parse_m_list(ctx, param, value: str) -> list[int]:
@@ -224,7 +232,9 @@ def _parse_m_list(ctx, param, value: str) -> list[int]:
 @click.option("--delta", type=float, default=None,
               help="appendix-b only; defaults to 1/m per instance.")
 @click.option("-o", "--output", type=click.Path(), default=None)
+@click.pass_context
 def sweep_cmd(
+    ctx: click.Context,
     family: str,
     epsilon: float,
     policy: str | None,
@@ -237,9 +247,15 @@ def sweep_cmd(
 ) -> None:
     """Ratio growth of a policy over an adversarial family."""
     if family == "lower-bound":
-        values, own = range(k_min, k_max + 1), {"eta": eta}
+        values, own, other = range(k_min, k_max + 1), {"eta": eta}, ("m_list", "delta")
     else:
-        values, own = m_list, {"delta": delta}
+        values, own, other = m_list, {"delta": delta}, ("k_min", "k_max", "eta")
+    # Only options typed on the command line: the other family's defaults stand.
+    for param in ctx.command.params:
+        if param.name in other and (
+            ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE
+        ):
+            raise click.UsageError(f"{param.opts[0]} does not apply to --family {family}", ctx)
     result = sweep(family, values, epsilon, policy_kind=policy, **own)
     meta = _meta(family=family, policy=result.policy_kind, epsilon=epsilon, **own)
     lines = [f"# {json.dumps(meta, sort_keys=True)}"]

@@ -281,7 +281,7 @@ def _fast_sum(csum, spare, term, frac):
     return spare, csum
 
 
-def _norms(v: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+def _norms(v: np.ndarray, out: np.ndarray, work: np.ndarray | None) -> None:
     """out[k] = math.hypot(*v[:, k]) bit for bit, for v >= 0 of shape (dim, K).
 
     A transcription of ``vector_norm`` in CPython's Modules/mathmodule.c,
@@ -291,8 +291,9 @@ def _norms(v: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     add the squares as a double-length sum with three compensation terms,
     take the square root and correct it once.  A zero or infinite largest
     entry is the norm, as in C; a subnormal one, which C rescales first,
-    goes through ``math.hypot``.  ``work`` is (11, K) or wider scratch; v is
-    left as it was.  Run under ``np.errstate`` with every warning ignored:
+    goes through ``math.hypot``.  ``work`` is (11, K) or wider scratch, and
+    may be None when dim is 1, where the norm is v itself; v is left as it
+    was.  Run under ``np.errstate`` with every warning ignored:
     the lanes that take the early exits divide by zero or overflow before
     they are overwritten.
     """
@@ -363,36 +364,41 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
 
     points is a sequence of points of the space; i and j are integer arrays
     of one length, indexing it.  Entry k equals ``distance(space,
-    points[i[k]], points[j[k]])`` bit for bit.  One loop runs over blocks of
-    ``_BLOCK_CELLS // (dim + 12)`` pairs, each converting its own indices to
-    intp: a finite space gathers matrix entries, and the line (dim 1) and
-    Euclidean space take ``_norms`` of the absolute coordinate differences.
-    Euclidean calls asking for fewer than ``VECTOR_DISTANCES_MIN`` distances
-    call ``math.dist`` once per pair.  A table is one call over index grids.
+    points[i[k]], points[j[k]])`` bit for bit.  The pairs go in blocks of
+    ``_BLOCK_CELLS // (dim + 12)``, each converting its own indices to intp:
+    a finite space gathers matrix entries, and the line (dim 1) and
+    Euclidean space take ``_norms`` of the absolute coordinate differences,
+    under ``np.errstate`` since a difference may overflow.  Scratch is
+    allocated only where it is used, as most calls are small.  Euclidean
+    calls asking for fewer than ``VECTOR_DISTANCES_MIN`` distances call
+    ``math.dist`` once per pair.  A table is one call over index grids.
     """
     if space.kind == EUCLIDEAN and len(i) < VECTOR_DISTANCES_MIN:
         left = [points[k] for k in i.tolist()]
         right = [points[k] for k in j.tolist()]
         return np.array(list(map(math.dist, left, right)), dtype=float)
-    if space.kind == FINITE:
-        rows = np.array(_finite_rows(space, points), dtype=np.intp)
-    elif space.kind in (LINE, EUCLIDEAN):
-        # One contiguous row per coordinate.
-        x = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), space.dim).T)
-    else:
+    if space.kind not in (LINE, EUCLIDEAN, FINITE):
         raise ValueError(f"unknown metric kind {space.kind!r}")
     step = max(1, min(len(i), _BLOCK_CELLS // (space.dim + 12)))
+    # Fancy indexing is several times faster with intp indices.
+    if space.kind == FINITE:
+        rows = np.array(_finite_rows(space, points), dtype=np.intp)
+        out = np.empty(len(i))
+        for s in range(0, len(i), step):
+            i_block, j_block = i[s : s + step].astype(np.intp), j[s : s + step].astype(np.intp)
+            out[s : s + step] = space.distances[rows[i_block], rows[j_block]]
+        return out
+    # One contiguous row per coordinate.
+    x = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), space.dim).T)
     v = np.empty((space.dim, step))
-    work = np.empty((11, step))
+    work = np.empty((11, step)) if space.dim > 1 else None
+    # Allocated after the scratch: allocated before it, the 1000-by-1000 plane
+    # table of the benchmark's exact workload raised its peak RSS by 6 MB.
     out = np.empty(len(i))
     with np.errstate(all="ignore"):
         for s in range(0, len(i), step):
             e = min(s + step, len(i))
-            # Fancy indexing is several times faster with intp indices.
             i_block, j_block = i[s:e].astype(np.intp), j[s:e].astype(np.intp)
-            if space.kind == FINITE:
-                out[s:e] = space.distances[rows[i_block], rows[j_block]]
-                continue
             for c, row in enumerate(x):
                 np.subtract(row[i_block], row[j_block], out=v[c, : e - s])
             block = v[:, : e - s]

@@ -116,13 +116,33 @@ def test_ratio_against_a_zero_weight_optimum_is_strict_json_null(runner, tmp_pat
     path.write_text(json.dumps(data))
     result = invoke(runner, "ratio", "-i", path, "--policy", "hemisphere-b", "--epsilon", 1)
     assert result.exit_code == 0, result.output
-
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    payload = json.loads(result.output, parse_constant=refuse)
+    payload = json.loads(result.output, parse_constant=refuse_constant)
     assert payload["opt_weight"] == 0.0 and payload["offline_weight"] > 0
     assert payload["ratio_online"] is None and payload["ratio_offline"] is None
+
+
+def refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "args, fields",
+    [
+        (["run", "--policy", "hemisphere", "--epsilon", 1], ["online_cost", "offline_weight"]),
+        (["opt"], ["weight"]),
+    ],
+    ids=["run", "opt"],
+)
+def test_an_overflowing_cost_is_strict_json_null(runner, tmp_path, args, fields):
+    # Both locations are finite; their distance overflows to inf.
+    requests = [{"id": 1, "t": 0.0, "loc": -1e308}, {"id": 2, "t": 0.0, "loc": 1e308}]
+    path = tmp_path / "far.json"
+    data = {"metric": {"kind": "line"}, "bipartite": False, "requests": requests}
+    path.write_text(json.dumps(data))
+    result = invoke(runner, args[0], "-i", path, *args[1:])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output, parse_constant=refuse_constant)
+    assert [payload[field] for field in fields] == [None] * len(fields)
 
 
 def test_ratio_guard_exits_nonzero(runner, tmp_path):
@@ -161,16 +181,35 @@ def test_sweep_cascade_csv(runner, tmp_path):
     "args, own, other",
     [
         (["--family", "lower-bound", "--k-min", 2, "--k-max", 3], ("eta", 1e-6), "delta"),
-        (["--family", "appendix-b", "--m-list", "8,16", "--eta", 0.01], ("delta", 0.3), "eta"),
+        (["--family", "appendix-b", "--m-list", "8,16", "--delta", 0.3], ("delta", 0.3), "eta"),
     ],
     ids=["lower-bound", "appendix-b"],
 )
 def test_sweep_header_names_only_the_family_parameter(runner, args, own, other):
-    result = invoke(runner, "sweep", *args, "--delta", 0.3)
+    result = invoke(runner, "sweep", *args)
     assert result.exit_code == 0, result.output
     meta = json.loads(result.output.splitlines()[0].removeprefix("# "))
     assert meta[own[0]] == own[1]
     assert other not in meta
+
+
+@pytest.mark.parametrize(
+    "family, option, value",
+    [
+        ("lower-bound", "--m-list", "8,16"),
+        ("lower-bound", "--delta", 0.3),
+        ("appendix-b", "--k-min", 4),
+        ("appendix-b", "--k-max", 10),
+        ("appendix-b", "--eta", 0.01),
+    ],
+)
+def test_sweep_refuses_an_option_of_the_other_family(runner, tmp_path, family, option, value):
+    # Even a value equal to the option's default is refused once typed.
+    path = tmp_path / "out.csv"
+    result = invoke(runner, "sweep", "--family", family, option, value, "-o", path)
+    assert result.exit_code == 2
+    assert_usage_error(result, f"{option} does not apply to --family {family}")
+    assert not path.exists()
 
 
 def test_sweep_appendix_b(runner):

@@ -1,4 +1,4 @@
-"""``scipy.optimize`` loads only when a bipartite optimum is solved.
+"""``scipy.optimize`` loads only for a bipartite optimum of more than 20 requests.
 
 Importing it takes most of ``import mpmd``'s time, so each test starts a
 fresh interpreter (``sys.modules`` of this one already holds it) and reports
@@ -51,16 +51,35 @@ def test_cli_gen_run_sweep_leave_scipy_optimize_unloaded():
     assert result == {"codes": [0, 0, 0], "loaded": False}
 
 
-def test_opt_bipartite_loads_scipy_optimize_and_matches_brute_force():
+def test_cli_verify_ratio_opt_on_small_bipartite_leave_scipy_optimize_unloaded():
+    result = run_fresh(
+        "import json, os, sys, tempfile\n"
+        "from click.testing import CliRunner\n"
+        "from mpmd.cli import main\n"
+        "runner = CliRunner()\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'b.json')\n"
+        "codes = [\n"
+        "    runner.invoke(main, ['gen', 'random', '--m', '12', '--seed', '1', '--bipartite', '-o', path]).exit_code,\n"
+        "    runner.invoke(main, ['verify', '--count', '6']).exit_code,\n"
+        "    runner.invoke(main, ['ratio', '-i', path, '--policy', 'hemisphere-b', '--epsilon', '1']).exit_code,\n"
+        "    runner.invoke(main, ['opt', '-i', path]).exit_code,\n"
+        "]\n"
+        "print(json.dumps({'codes': codes, 'loaded': 'scipy.optimize' in sys.modules}))\n"
+    )
+    assert result == {"codes": [0, 0, 0, 0], "loaded": False}
+
+
+def test_opt_bipartite_loads_scipy_optimize_only_above_the_split():
     result = run_fresh(
         "import json, sys\n"
         "from mpmd.instances import gen_random\n"
-        "from mpmd.oracle import brute_force_opt, opt_bipartite\n"
-        "inst = gen_random(6, 3, metric='euclidean', bipartite=True)\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        "got = opt_bipartite(inst)\n"
-        "want = brute_force_opt(inst)\n"
-        "print(json.dumps({'before': before, 'after': 'scipy.optimize' in sys.modules,\n"
-        "                  'equal': got == want}))\n"
+        "from mpmd.oracle import GENERAL_OPT_MAX, brute_force_opt, opt_bipartite\n"
+        "small = gen_random(6, 3, metric='euclidean', bipartite=True)\n"
+        "equal = opt_bipartite(small) == brute_force_opt(small)\n"
+        "loaded = {}\n"
+        "for m in (6, GENERAL_OPT_MAX, GENERAL_OPT_MAX + 2):\n"
+        "    opt_bipartite(gen_random(m, 3, metric='euclidean', bipartite=True))\n"
+        "    loaded[m] = 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps({'equal': equal, 'loaded': loaded}))\n"
     )
-    assert result == {"before": False, "after": True, "equal": True}
+    assert result == {"equal": True, "loaded": {"6": False, "20": False, "22": True}}

@@ -6,8 +6,10 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mpmd.engine import (
     HEMISPHERE,
@@ -23,6 +25,8 @@ from mpmd.harness import sweep
 from mpmd.instances import LowerBoundParams, gen_lower_bound, gen_random
 from mpmd.metric import MetricSpace, TimedPoint, augmented_distance
 from mpmd.oracle import (
+    GENERAL_OPT_MAX,
+    _assign,
     _augmented_matrix,
     _layer_tables,
     Matching,
@@ -541,6 +545,64 @@ class TestOptBipartite:
         matching = opt_bipartite(inst)
         assert all(len({p, q} & {1, 2}) == 1 for p, q in matching.pairs)
         assert matching.weight == 18.0
+
+
+def _cost_matrices(count, seed):
+    """Seeded square cost matrices of sizes 0 to 10, most of them rich in ties.
+
+    Kinds in turn: uniform costs, integer costs 0 to 2, one constant, rank-one
+    products of small integers, integer costs with 30 % inf entries, and
+    uniform costs over six decades with 30 % inf entries.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(0, 11))
+        kind = k % 6
+        if kind == 0:
+            c = rng.random((n, n))
+        elif kind == 1:
+            c = rng.integers(0, 3, (n, n)).astype(float)
+        elif kind == 2:
+            c = np.full((n, n), float(rng.integers(0, 3)))
+        elif kind == 3:
+            c = np.outer(rng.integers(0, 3, n), rng.integers(0, 3, n)).astype(float)
+        elif kind == 4:
+            c = np.where(rng.random((n, n)) < 0.3, np.inf, rng.integers(0, 4, (n, n)))
+        else:
+            c = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
+            c[rng.random((n, n)) < 0.3] = np.inf
+        yield c
+
+
+def _solved(solve, c):
+    """Columns of solve(c), or the text of the ValueError it raises."""
+    try:
+        return solve(c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_assign_returns_the_columns_of_linear_sum_assignment():
+    infeasible = 0
+    for c in _cost_matrices(20_000, 2016):
+        want = _solved(lambda c: linear_sum_assignment(c)[1].tolist(), c)
+        assert _solved(lambda c: _assign(c.tolist()), c) == want, c.tolist()
+        infeasible += want == "cost matrix is infeasible"
+    # About one in forty, from the two kinds with inf entries, has no finite assignment.
+    assert 300 < infeasible < 1000
+
+
+@pytest.mark.parametrize("m", [GENERAL_OPT_MAX, GENERAL_OPT_MAX + 2])
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_opt_bipartite_equals_the_scipy_assignment_on_either_side_of_the_split(m, metric):
+    for seed in range(5):
+        inst = gen_random(m, seed, metric=metric, bipartite=True)
+        reqs = sorted(inst.requests, key=lambda r: r.id)
+        zeros = [r for r in reqs if r.color == 0]
+        ones = [r for r in reqs if r.color == 1]
+        rows, cols = linear_sum_assignment(_augmented_matrix(inst.space, zeros, ones))
+        pairs = [(zeros[i].id, ones[j].id) for i, j in zip(rows, cols)]
+        assert opt_bipartite(inst) == Matching.from_pairs(pairs, inst)
 
 
 class TestBruteForce:
