@@ -141,12 +141,6 @@ class Request:
     point: TimedPoint
     color: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"request id must be non-negative, got {self.id}")
-        if self.color not in (None, 0, 1):
-            raise ValueError(f"request color must be 0 or 1, got {self.color!r}")
-
     @property
     def time(self) -> float:
         return self.point.time
@@ -160,13 +154,16 @@ class Request:
 class Instance:
     """A metric space plus its requests in arrival order.
 
-    The request count must be even and at most ``REQUEST_COUNT_MAX``, ids
-    unique, every time finite, and every location a valid, finite point of
-    the space.  Bipartite instances carry a color on every request with both
-    colors equally frequent; monochromatic instances carry no colors.
-    ``requests`` is stored sorted by (time, id), whatever order it was given
-    in, so two instances that list the same requests in different orders are
-    equal, and every consumer may rely on arrival order.
+    The one check of a request's values.  The request count must be even
+    and at most ``REQUEST_COUNT_MAX``, ids non-negative and unique, every
+    time finite, and every location a valid point of the space.  Bipartite
+    instances carry a color 0 or 1 on every request with both colors equally
+    frequent; monochromatic instances carry no colors.  A ValueError names
+    the request by its position as given and its field in the file format:
+    ``requests[1].t: expected a finite number, got nan``.  ``requests`` is
+    stored sorted by (time, id), whatever order it was given in, so two
+    instances that list the same requests in different orders are equal, and
+    every consumer may rely on arrival order.
     """
 
     space: MetricSpace
@@ -175,33 +172,32 @@ class Instance:
 
     def __post_init__(self) -> None:
         requests = tuple(self.requests)
-        if len(requests) > REQUEST_COUNT_MAX:
-            raise ValueError(
-                f"request count must be at most {REQUEST_COUNT_MAX}, got m={len(requests)}"
-            )
-        ids = [r.id for r in requests]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValueError(f"duplicate request id {dup}")
-        if len(ids) % 2 != 0:
+        m = len(requests)
+        if m > REQUEST_COUNT_MAX:
+            raise ValueError(f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}")
+        if m % 2 != 0:
             raise ValueError("request count must be even")
-        for r in requests:
+        ids: set[int] = set()
+        for k, r in enumerate(requests):
+            if r.id < 0 or r.id in ids:
+                problem = "duplicate id" if r.id in ids else "expected a non-negative id, got"
+                raise ValueError(f"requests[{k}].id: {problem} {r.id}")
+            ids.add(r.id)
             if not is_finite_real(r.time):
-                raise ValueError(f"request {r.id} time: expected a finite number, got {r.time!r}")
+                raise ValueError(f"requests[{k}].t: expected a finite number, got {r.time!r}")
             try:
                 validate_point(self.space, r.location)
             except ValueError as exc:
-                raise ValueError(f"request {r.id} location: {exc}") from None
-            if self.bipartite and r.color is None:
-                raise ValueError(f"request {r.id} has no color on a bipartite instance")
-            if not self.bipartite and r.color is not None:
-                raise ValueError(f"request {r.id} carries a color on a monochromatic instance")
+                raise ValueError(f"requests[{k}].loc: {exc}") from None
+            if self.bipartite:
+                if type(r.color) is not int or r.color not in (0, 1):
+                    raise ValueError(f"requests[{k}].color: expected 0 or 1, got {r.color!r}")
+            elif r.color is not None:
+                raise ValueError(f"requests[{k}].color: given on a monochromatic instance")
         if self.bipartite:
             zeros = sum(1 for r in requests if r.color == 0)
-            if zeros * 2 != len(ids):
-                raise ValueError(
-                    f"bipartite colors are imbalanced: {zeros} vs {len(ids) - zeros}"
-                )
+            if zeros * 2 != m:
+                raise ValueError(f"bipartite colors are imbalanced: {zeros} vs {m - zeros}")
         arrival = tuple(sorted(requests, key=lambda r: (r.time, r.id)))
         object.__setattr__(self, "requests", arrival)
 

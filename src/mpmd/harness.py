@@ -41,9 +41,7 @@ from mpmd.instances import (
     instance_digest,
 )
 from mpmd.metric import is_finite_real
-from mpmd.oracle import GENERAL_OPT_MAX, Matching, opt_bipartite, opt_general
-
-RATIO_TOL = 1e-9
+from mpmd.oracle import GENERAL_OPT_MAX, opt_bipartite, opt_general
 
 
 @dataclass(frozen=True)
@@ -122,28 +120,23 @@ class RatioReport:
         return {"policy" if k == "policy_kind" else k: v for k, v in asdict(self).items()}
 
 
-def optimum_for(instance: Instance, policy: Policy) -> Matching:
-    """The exact optimum the policy competes against.
+def within_bound(weight: float, bound: float, opt_weight: float) -> bool:
+    """True when a matching's weight is at most ``bound`` times the optimum's.
 
-    The bipartite policy is judged against the color-crossing optimum; all
-    others against the unrestricted optimum, which is guarded by instance
-    size.
+    The slack is 1e-9 of the ratio, and never more than 1e-9 absolute.
     """
-    if policy.kind == HEMISPHERE_BIPARTITE:
-        return opt_bipartite(instance)
-    if instance.size > GENERAL_OPT_MAX:
-        raise ValueError(
-            f"instance has {instance.size} requests, beyond the exact general "
-            f"oracle guard of {GENERAL_OPT_MAX}; use the bipartite oracle or a "
-            "smaller instance"
-        )
-    return opt_general(instance)
+    return weight - bound * opt_weight <= 1e-9 * min(opt_weight, 1.0)
 
 
 def compute_ratio(instance: Instance, policy: Policy) -> RatioReport:
-    """Simulate the policy, solve for the optimum, and report both ratios."""
+    """Solve for the optimum, simulate the policy, and report both ratios.
+
+    The bipartite policy is judged against the color-crossing optimum, all
+    others against the unrestricted one, whose size guard is checked before
+    the policy runs.
+    """
+    opt = opt_bipartite(instance) if policy.kind == HEMISPHERE_BIPARTITE else opt_general(instance)
     report = simulate(instance, policy)
-    opt = optimum_for(instance, policy)
 
     def against_opt(cost: float) -> float:
         if opt.weight > 0:
@@ -165,7 +158,7 @@ def compute_ratio(instance: Instance, policy: Policy) -> RatioReport:
         ratio_online=ratio_online,
         ratio_offline=ratio_offline,
         bound_2_over_f=bound,
-        bound_ok=ratio_offline <= bound + RATIO_TOL,
+        bound_ok=within_bound(report.offline_weight, bound, opt.weight),
     )
 
 

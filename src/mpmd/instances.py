@@ -33,7 +33,6 @@ from mpmd.metric import (
     MetricSpace,
     TimedPoint,
     is_finite_real,
-    validate_point,
 )
 
 ETA_MAX = 1e-3
@@ -319,8 +318,25 @@ def _parse_metric(data, context: str) -> MetricSpace:
     raise InstanceFormatError(f"{context}.kind: unknown metric kind {kind!r}")
 
 
+def _number(value, field: str) -> float:
+    """The JSON number as a float; a value that is not a finite number (null,
+    a bool, a string, NaN, an infinity, or an integer beyond the double
+    range, on which ``float`` would raise) is refused with the field named."""
+    if not is_finite_real(value):
+        raise InstanceFormatError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def instance_from_dict(data: dict) -> Instance:
-    """Parse and validate the on-disk dictionary form of an instance."""
+    """Convert the on-disk dictionary form of an instance into an ``Instance``.
+
+    The reader checks the JSON shape: the top level is an object, the metric
+    is well formed, ``bipartite`` is a bool, ``requests`` a list of objects,
+    each ``id`` an integer, and each ``t``, line ``loc`` and coordinate a
+    finite number, which it converts to a float.  ``Instance`` then checks
+    the values: ids, points of the space, colors, count and balance.  Either
+    failure raises InstanceFormatError naming the field, as ``requests[k].t``.
+    """
     if not isinstance(data, dict):
         raise InstanceFormatError("top level: expected a JSON object")
     space = _parse_metric(data.get("metric"), "metric")
@@ -332,52 +348,20 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError("requests: expected a list")
 
     requests = []
-    seen_ids: set[int] = set()
     for idx, entry in enumerate(raw_requests):
         context = f"requests[{idx}]"
         if not isinstance(entry, dict):
             raise InstanceFormatError(f"{context}: expected an object")
         rid = entry.get("id")
-        if not isinstance(rid, int) or isinstance(rid, bool) or rid < 0:
-            raise InstanceFormatError(f"{context}.id: expected a non-negative integer")
-        if rid in seen_ids:
-            raise InstanceFormatError(f"{context}.id: duplicate id {rid}")
-        seen_ids.add(rid)
-        t = entry.get("t")
-        if not is_finite_real(t):
-            raise InstanceFormatError(f"{context}.t: expected a finite number, got {t!r}")
+        if not isinstance(rid, int) or isinstance(rid, bool):
+            raise InstanceFormatError(f"{context}.id: expected an integer, got {rid!r}")
+        t = _number(entry.get("t"), f"{context}.t")
         loc = entry.get("loc")
         if isinstance(loc, list):
-            if not all(map(is_finite_real, loc)):
-                raise InstanceFormatError(
-                    f"{context}.loc: coordinates must be finite numbers, got {loc!r}"
-                )
-            loc = tuple(float(x) for x in loc)
-        elif isinstance(loc, (int, float)) and not isinstance(loc, bool):
-            if not is_finite_real(loc):
-                raise InstanceFormatError(f"{context}.loc: expected a finite number, got {loc!r}")
-            loc = float(loc)
+            loc = tuple(_number(x, f"{context}.loc[{j}]") for j, x in enumerate(loc))
         elif not isinstance(loc, str):
-            raise InstanceFormatError(f"{context}.loc: expected a number, array, or name")
-        color = entry.get("color")
-        if bipartite:
-            if color not in (0, 1):
-                raise InstanceFormatError(f"{context}.color: expected 0 or 1")
-        elif color is not None:
-            raise InstanceFormatError(
-                f"{context}.color: color given but instance is not bipartite"
-            )
-        try:
-            validate_point(space, loc)
-            requests.append(
-                Request(
-                    id=rid,
-                    point=TimedPoint(loc, float(t)),
-                    color=color if bipartite else None,
-                )
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(f"{context}: {exc}") from None
+            loc = _number(loc, f"{context}.loc")
+        requests.append(Request(rid, TimedPoint(loc, t), entry.get("color")))
 
     try:
         return Instance(space=space, requests=tuple(requests), bipartite=bipartite)

@@ -173,11 +173,13 @@ class MetricSpace:
             raise ValueError(
                 f"matrix size {len(matrix)} does not match {len(names)} point names"
             )
-        rows = tuple(tuple(float(x) for x in row) for row in matrix)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(matrix):
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"matrix[{i}] must be a list of numbers, got {row!r}")
             for j, x in enumerate(row):
-                if not math.isfinite(x):
+                if not is_finite_real(x):
                     raise ValueError(f"matrix[{i}][{j}] must be a finite number, got {x!r}")
+        rows = tuple(tuple(map(float, row)) for row in matrix)
         violation = validate_metric(rows)
         if violation is not None:
             raise ValueError(f"invalid finite metric: {violation}")

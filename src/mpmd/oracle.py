@@ -182,7 +182,8 @@ def opt_general(instance: Instance) -> Matching:
     m = len(requests)
     if m > GENERAL_OPT_MAX:
         raise ValueError(
-            f"general exact solver is guarded at {GENERAL_OPT_MAX} requests, got {m}"
+            f"general exact solver is guarded at {GENERAL_OPT_MAX} requests, got {m}; "
+            "use the bipartite oracle or a smaller instance"
         )
     w = _augmented_matrix(instance.space, requests).ravel()
     tables = _layer_tables(m)
@@ -277,13 +278,20 @@ def opt_bipartite(instance: Instance) -> Matching:
     zeros = sorted((r for r in instance.requests if r.color == 0), key=lambda r: r.id)
     ones = sorted((r for r in instance.requests if r.color == 1), key=lambda r: r.id)
     cost = _augmented_matrix(instance.space, zeros, ones)
-    if instance.size <= GENERAL_OPT_MAX:
-        cols = _assign(cost.tolist())
-    else:
-        # Imported here: scipy.optimize takes most of ``import mpmd``'s time.
-        from scipy.optimize import linear_sum_assignment
+    try:
+        if instance.size <= GENERAL_OPT_MAX:
+            cols = _assign(cost.tolist())
+        else:
+            # Imported here: scipy.optimize takes most of ``import mpmd``'s time.
+            from scipy.optimize import linear_sum_assignment
 
-        cols = linear_sum_assignment(cost)[1].tolist()
+            cols = linear_sum_assignment(cost)[1].tolist()
+    except ValueError:
+        # Infeasible: every crossing matching weighs inf, as when a distance
+        # overflows, so pair in id order, as opt_general does then.
+        if not np.isinf(cost).any():
+            raise
+        cols = list(range(len(zeros)))
     pairs = [(zeros[i].id, ones[j].id) for i, j in enumerate(cols)]
     return Matching.from_pairs(pairs, instance)
 

@@ -69,7 +69,7 @@ from mpmd.oracle import (
     realize_online,
     restriction_check,
 )
-from mpmd.harness import eval_f, theoretical_bound
+from mpmd.harness import eval_f, theoretical_bound, within_bound
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
@@ -358,13 +358,10 @@ def check_restriction(
 def check_recurrence_bound(
     tally: Tally, instance: Instance, report: RunReport, alg: Matching, opt: Matching, label: str
 ) -> None:
-    """The run's offline weight is at most 2/f(m) times the optimum, gamma = 3 + eps.
-
-    The slack is 1e-9 of the ratio, and never more than 1e-9 absolute.
-    """
+    """The run's offline weight is at most 2/f(m) times the optimum, gamma = 3 + eps."""
     bound = theoretical_bound(max(instance.size, 2), report.policy.epsilon)
     tally.check("recurrence_bound").record(
-        alg.weight - bound * opt.weight <= ABS_TOL * min(opt.weight, 1.0),
+        within_bound(alg.weight, bound, opt.weight),
         f"{label}: offline ratio exceeds 2/f(m)",
     )
 

@@ -126,18 +126,26 @@ def refuse_constant(constant):
 
 
 @pytest.mark.parametrize(
-    "args, fields",
+    "args, fields, bipartite",
     [
-        (["run", "--policy", "hemisphere", "--epsilon", 1], ["online_cost", "offline_weight"]),
-        (["opt"], ["weight"]),
+        (["run", "--policy", "hemisphere", "--epsilon", 1], ["online_cost", "offline_weight"], False),
+        (["opt"], ["weight"], False),
+        (["opt"], ["weight"], True),
+        (
+            ["ratio", "--policy", "hemisphere-b", "--epsilon", 1],
+            ["offline_weight", "opt_weight", "ratio_offline"],
+            True,
+        ),
     ],
-    ids=["run", "opt"],
+    ids=["run", "opt", "opt-bipartite", "ratio-bipartite"],
 )
-def test_an_overflowing_cost_is_strict_json_null(runner, tmp_path, args, fields):
+def test_an_overflowing_cost_is_strict_json_null(runner, tmp_path, args, fields, bipartite):
     # Both locations are finite; their distance overflows to inf.
     requests = [{"id": 1, "t": 0.0, "loc": -1e308}, {"id": 2, "t": 0.0, "loc": 1e308}]
+    if bipartite:
+        requests[0]["color"], requests[1]["color"] = 0, 1
     path = tmp_path / "far.json"
-    data = {"metric": {"kind": "line"}, "bipartite": False, "requests": requests}
+    data = {"metric": {"kind": "line"}, "bipartite": bipartite, "requests": requests}
     path.write_text(json.dumps(data))
     result = invoke(runner, args[0], "-i", path, *args[1:])
     assert result.exit_code == 0, result.output
@@ -415,6 +423,26 @@ def test_instance_file_above_the_request_count_cap_is_an_error(runner, tmp_path)
     path.write_text(json.dumps(data))
     result = invoke(runner, "run", "-i", path, "--policy", "hemisphere", "--epsilon", 1)
     assert_usage_error(result, f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}")
+
+
+@pytest.mark.parametrize(
+    "matrix, field",
+    [
+        ([[0.0, None], [None, 0.0]], "matrix[0][1]"),
+        ([[0.0, True], [True, 0.0]], "matrix[0][1]"),
+        ([[0.0, "1.5"], ["1.5", 0.0]], "matrix[0][1]"),
+        ([[0.0, 1.0], 5], "matrix[1]"),
+    ],
+    ids=["null", "true", "string", "row"],
+)
+def test_a_malformed_matrix_is_an_error_naming_the_entry(runner, tmp_path, matrix, field):
+    metric = {"kind": "finite", "points": ["A", "B"], "matrix": matrix}
+    requests = [{"id": 1, "t": 0.0, "loc": "A"}, {"id": 2, "t": 1.0, "loc": "B"}]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"metric": metric, "bipartite": False, "requests": requests}))
+    result = invoke(runner, "opt", "-i", path)
+    assert result.exit_code == 1
+    assert_usage_error(result, f"metric: {field} must be")
 
 
 def test_request_count_cap_is_in_the_help(runner):

@@ -214,18 +214,18 @@ class TestInstanceValidation:
             )
 
     def test_color_presence_matches_flag(self):
-        with pytest.raises(ValueError, match="no color"):
+        with pytest.raises(ValueError, match=r"requests\[0\]\.color: expected 0 or 1, got None"):
             Instance(LINE, (req(1, 0.0, 0.0), req(2, 1.0, 0.0, 1)), bipartite=True)
-        with pytest.raises(ValueError, match="carries a color"):
+        with pytest.raises(ValueError, match=r"requests\[0\]\.color: given on a monochromatic"):
             Instance(LINE, (req(1, 0.0, 0.0, 0), req(2, 1.0, 0.0, 1)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_or_location(self, bad):
-        with pytest.raises(ValueError, match="request 2 time: expected a finite"):
+        with pytest.raises(ValueError, match=r"requests\[1\]\.t: expected a finite number"):
             Instance(LINE, (req(1, 0.0, 0.0), req(2, 1.0, bad)))
-        with pytest.raises(ValueError, match="request 2 location: line point must be a finite real number"):
+        with pytest.raises(ValueError, match=r"requests\[1\]\.loc: line point must be a finite real number"):
             Instance(LINE, (req(1, 0.0, 0.0), req(2, bad, 0.0)))
-        with pytest.raises(ValueError, match="request 1 location: euclidean coordinates"):
+        with pytest.raises(ValueError, match=r"requests\[0\]\.loc: euclidean coordinates"):
             Instance(MetricSpace.euclidean(2), (req(1, (bad, 0.0), 0.0), req(2, (0.0, 0.0), 0.0)))
 
     def test_request_count_cap(self):

@@ -12,6 +12,7 @@ from mpmd.harness import (
     reference_matching_weight,
     sweep,
     theoretical_bound,
+    within_bound,
 )
 from mpmd.instances import (
     LowerBoundParams,
@@ -125,6 +126,22 @@ class TestComputeRatio:
         inst = gen_random(22, seed=1, metric="line")
         with pytest.raises(ValueError, match="bipartite oracle or a smaller"):
             compute_ratio(inst, Policy(HEMISPHERE, 1.0))
+
+    def test_guard_is_checked_before_the_policy_runs(self, monkeypatch):
+        monkeypatch.setattr("mpmd.harness.simulate", None)
+        inst = gen_random(22, seed=1, metric="line")
+        with pytest.raises(ValueError, match="guarded at 20 requests, got 22"):
+            compute_ratio(inst, Policy(HEMISPHERE, 1.0))
+
+    def test_bound_slack_is_relative_to_the_ratio_and_at_most_absolute(self):
+        # Above an optimum of 1 the slack stays 1e-9 absolute: a weight
+        # 5e-9 over 2 * 10 fails, though its ratio is only 5e-10 over 2.
+        assert within_bound(20.0 + 5e-10, 2.0, 10.0)
+        assert not within_bound(20.0 + 5e-9, 2.0, 10.0)
+        assert within_bound(1.0 + 4e-10, 2.0, 0.5)
+        assert not within_bound(1.0 + 6e-10, 2.0, 0.5)
+        assert within_bound(0.0, 2.0, 0.0)
+        assert not within_bound(1e-300, 2.0, 0.0)
 
 
 class TestSweeps:

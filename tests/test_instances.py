@@ -5,7 +5,10 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
+
+import mpmd.engine
+import mpmd.instances
 
 from mpmd.engine import HEMISPHERE_BIPARTITE, Policy, simulate
 from mpmd.instances import (
@@ -26,7 +29,7 @@ from mpmd.instances import (
     recurrence_ab_closed_form,
     save_instance,
 )
-from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, validate_metric
+from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, validate_metric, validate_point
 from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form
 
 from helpers import assert_checks_pass
@@ -411,11 +414,11 @@ class TestFileFormat:
             ],
         }
         with pytest.raises(
-            InstanceFormatError, match=r"requests\[1\]\.loc: coordinates must be finite"
+            InstanceFormatError, match=r"requests\[1\]\.loc\[0\]: expected a finite number"
         ):
             load_instance(self._write(tmp_path, data))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, None, True, "1.5"])
     def test_non_finite_matrix_entry_names_the_entry(self, tmp_path, bad):
         data = self.base()
         data["metric"] = {
@@ -427,6 +430,29 @@ class TestFileFormat:
         data["requests"][1]["loc"] = "B"
         with pytest.raises(InstanceFormatError, match=r"metric: matrix\[0\]\[1\] must be a finite number"):
             load_instance(self._write(tmp_path, data))
+
+    def test_matrix_row_that_is_not_a_list_names_the_row(self, tmp_path):
+        data = self.base()
+        data["metric"] = {"kind": "finite", "points": ["A", "B"], "matrix": [[0.0, 1.0], 5]}
+        data["requests"][0]["loc"] = "A"
+        data["requests"][1]["loc"] = "B"
+        with pytest.raises(InstanceFormatError, match=r"metric: matrix\[1\] must be a list"):
+            load_instance(self._write(tmp_path, data))
+
+    def test_loading_checks_each_location_once(self, tmp_path, monkeypatch):
+        inst = gen_random(12, 5, metric="euclidean")
+        path = tmp_path / "spy.json"
+        save_instance(inst, path)
+        calls = []
+
+        def spy(space, p):
+            calls.append(p)
+            return validate_point(space, p)
+
+        for module in (mpmd.engine, mpmd.instances):
+            monkeypatch.setattr(module, "validate_point", spy, raising=False)
+        assert load_instance(path) == inst
+        assert len(calls) == inst.size
 
     def test_euclidean_locations(self, tmp_path):
         data = {
@@ -452,3 +478,74 @@ class TestFileFormat:
 def test_dict_roundtrip_matches_file_roundtrip():
     inst = gen_random(10, 77, metric="finite", n_points=3, bipartite=True)
     assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+_VALID_DICTS = [
+    {
+        "metric": {"kind": "line"},
+        "bipartite": False,
+        "requests": [{"id": 1, "t": 0.0, "loc": 0.0}, {"id": 2, "t": 1.0, "loc": 2.5}],
+    },
+    {
+        "metric": {"kind": "euclidean", "dim": 2},
+        "bipartite": True,
+        "requests": [
+            {"id": 1, "t": 0.0, "loc": [0.0, 1.0], "color": 0},
+            {"id": 2, "t": 1.0, "loc": [3.0, 5.0], "color": 1},
+        ],
+    },
+    {
+        "metric": {"kind": "finite", "points": ["A", "B"], "matrix": [[0.0, 1.5], [1.5, 0.0]]},
+        "bipartite": False,
+        "requests": [{"id": 1, "t": 0.0, "loc": "A"}, {"id": 2, "t": 1.0, "loc": "B"}],
+    },
+]
+
+
+def _field_paths(value, path=()):
+    """The path of every value nested in a JSON value, the value itself first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _field_paths(child, path + (key,))
+
+
+_FIELDS = [(k, path) for k, data in enumerate(_VALID_DICTS) for path in _field_paths(data)]
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.floats()
+    | st.integers()
+    | st.sampled_from([10**309, -(10**309), 10**400]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@seed(2018)
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+def test_any_json_value_in_any_field_loads_or_is_refused(field, value):
+    # A malformed file is refused at the reader with a field-level message,
+    # never a crash deeper in (TypeError, OverflowError, KeyError, ...).
+    k, path = field
+    data = json.loads(json.dumps(_VALID_DICTS[k]))
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        data = value
+    try:
+        instance_from_dict(data)
+    except InstanceFormatError:
+        pass
