@@ -321,9 +321,12 @@ def _parse_metric(data, context: str) -> MetricSpace:
 def _number(value, field: str) -> float:
     """The JSON number as a float; a value that is not a finite number (null,
     a bool, a string, NaN, an infinity, or an integer beyond the double
-    range, on which ``float`` would raise) is refused with the field named."""
+    range, on which ``float`` would raise) is refused with the field named.
+    Such an integer is named by its type: ``repr`` raises on one of more
+    than 4,300 digits."""
     if not is_finite_real(value):
-        raise InstanceFormatError(f"{field}: expected a finite number, got {value!r}")
+        shown = "an int beyond the double range" if type(value) is int else repr(value)
+        raise InstanceFormatError(f"{field}: expected a finite number, got {shown}")
     return float(value)
 
 
@@ -381,7 +384,7 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int json cannot convert
             raise InstanceFormatError(f"{path}: malformed JSON: {exc}") from None
     try:
         return instance_from_dict(data)

@@ -13,18 +13,20 @@ at m=20, against 2**19 even-sized subsets).  Each such layer is one table
 of combinations in colex order, and the child a pairing leaves has a
 closed-form colex rank, so a layer is solved by a few numpy operations:
 O(m * F(m+1)) work, guarded at 20 requests.  The bipartite solver reduces
-to the assignment problem.  Up to the same 20 requests it runs a Python
-transcription of scipy's assignment algorithm, which returns scipy's own
-columns; above that it imports ``scipy.optimize``, so only a bipartite
-optimum of more than 20 requests loads scipy.  A brute-force enumerator over
-all (m-1)!! matchings serves as an independent cross-check for small m.
+to the assignment problem at any size and solves it with scipy's compiled
+assignment kernel, loaded from its extension file without importing
+``scipy.optimize``.  A brute-force enumerator over all (m-1)!!
+matchings serves as an independent cross-check for small m.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import combinations
 
 import numpy as np
@@ -207,71 +209,40 @@ def opt_general(instance: Instance) -> Matching:
     return Matching.from_pairs(pairs, instance)
 
 
-def _assign(c: list[list[float]]) -> list[int]:
-    """Column of each row in a minimum-cost assignment of the square cost lists c.
+@lru_cache(maxsize=1)
+def _linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, loaded from its compiled extension.
 
-    A transcription of ``scipy.optimize.linear_sum_assignment`` for square
-    matrices (scipy's rectangular_lsap.cpp, the shortest augmenting path of
-    Crouse 2016), step for step and with its floating-point operations in its
-    order, so ties break as in scipy and the two return the same columns.
-    Rows are taken in order; each grows a shortest path over the remaining
-    columns, kept in reverse order, until it reaches an unassigned column,
-    then updates the duals u, v and flips the path.  Vectorizing the scan or
-    regrouping its sums would change which of two equal costs wins.
+    ``scipy.optimize`` re-exports the solver from the extension module
+    ``scipy.optimize._lsap``; importing the package runs its ``__init__``,
+    which loads most of scipy's optimizers.  Executing the extension file on
+    its own skips that and gives the function the package would re-export.
+    A scipy without that file, or whose file lacks the function, is served
+    by the package import instead.
     """
-    n = len(c)
-    u, v = [0.0] * n, [0.0] * n
-    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
-    for cur in range(n):
-        spc = [math.inf] * n
-        scanned_rows, scanned_cols = [], []
-        remaining = list(range(n - 1, -1, -1))
-        min_val, i, sink = 0.0, cur, -1
-        while sink == -1:
-            scanned_rows.append(i)
-            row, ui = c[i], u[i]
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                if r < spc[j]:
-                    path[j] = i
-                    spc[j] = r
-                # Among equal costs, prefer a column that ends the path.
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
-                    lowest, index = spc[j], it
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            scanned_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in scanned_rows[1:]:
-            u[i] += min_val - spc[col4row[i]]
-        for j in scanned_cols:
-            v[j] -= min_val - spc[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
+    spec = find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        finder = FileFinder(
+            os.path.join(spec.submodule_search_locations[0], "optimize"),
+            (ExtensionFileLoader, EXTENSION_SUFFIXES),
+        )
+        lsap = finder.find_spec("scipy.optimize._lsap")
+        if lsap is not None:
+            module = module_from_spec(lsap)
+            lsap.loader.exec_module(module)
+            if hasattr(module, "linear_sum_assignment"):
+                return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
 
 
 def opt_bipartite(instance: Instance) -> Matching:
     """Minimum-weight color-crossing perfect matching via the assignment problem.
 
-    Up to GENERAL_OPT_MAX requests the assignment is solved by ``_assign``,
-    in Python, which returns ``linear_sum_assignment``'s columns without
-    loading ``scipy.optimize`` (about 40 MB of RSS and 0.7 s to import);
-    larger instances call scipy, which solves 7 to 25 times faster.
+    The assignment is solved by scipy's compiled ``linear_sum_assignment``
+    (the shortest augmenting path of Crouse 2016), loaded on the first call
+    without importing ``scipy.optimize`` (``_linear_sum_assignment``).
     """
     if not instance.bipartite:
         raise ValueError("bipartite oracle requires a bipartite instance")
@@ -279,13 +250,7 @@ def opt_bipartite(instance: Instance) -> Matching:
     ones = sorted((r for r in instance.requests if r.color == 1), key=lambda r: r.id)
     cost = _augmented_matrix(instance.space, zeros, ones)
     try:
-        if instance.size <= GENERAL_OPT_MAX:
-            cols = _assign(cost.tolist())
-        else:
-            # Imported here: scipy.optimize takes most of ``import mpmd``'s time.
-            from scipy.optimize import linear_sum_assignment
-
-            cols = linear_sum_assignment(cost)[1].tolist()
+        cols = _linear_sum_assignment()(cost)[1].tolist()
     except ValueError:
         # Infeasible: every crossing matching weighs inf, as when a distance
         # overflows, so pair in id order, as opt_general does then.

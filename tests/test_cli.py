@@ -445,6 +445,16 @@ def test_a_malformed_matrix_is_an_error_naming_the_entry(runner, tmp_path, matri
     assert_usage_error(result, f"metric: {field} must be")
 
 
+def test_an_int_json_cannot_convert_is_an_error_naming_the_file(runner, tmp_path):
+    requests = [{"id": 1, "t": 0.0, "loc": 0.0}, {"id": 2, "t": 1.0, "loc": 1.0}]
+    text = json.dumps({"metric": {"kind": "line"}, "bipartite": False, "requests": requests})
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"t": 1.0', '"t": ' + "9" * 5000))
+    result = invoke(runner, "opt", "-i", path)
+    assert result.exit_code == 1
+    assert_usage_error(result, f"Error: {path}: malformed JSON: ")
+
+
 def test_request_count_cap_is_in_the_help(runner):
     for args in (["gen", "appendix-b"], ["gen", "random"], ["sweep"]):
         result = invoke(runner, *args, "--help")

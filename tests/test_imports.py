@@ -1,8 +1,9 @@
-"""``scipy.optimize`` loads only for a bipartite optimum of more than 20 requests.
+"""``scipy.optimize`` never loads: not on import, and not for a bipartite optimum.
 
-Importing it takes most of ``import mpmd``'s time, so each test starts a
-fresh interpreter (``sys.modules`` of this one already holds it) and reports
-what that process loaded.
+Importing it takes most of ``import mpmd``'s time and doubles its memory, and
+``opt_bipartite`` loads only its compiled assignment kernel.  Each test starts
+a fresh interpreter (``sys.modules`` of this one already holds the package)
+and reports what that process loaded.
 """
 
 import json
@@ -69,17 +70,31 @@ def test_cli_verify_ratio_opt_on_small_bipartite_leave_scipy_optimize_unloaded()
     assert result == {"codes": [0, 0, 0, 0], "loaded": False}
 
 
-def test_opt_bipartite_loads_scipy_optimize_only_above_the_split():
+def test_bipartite_optima_of_every_size_leave_scipy_optimize_unloaded():
     result = run_fresh(
-        "import json, sys\n"
-        "from mpmd.instances import gen_random\n"
-        "from mpmd.oracle import GENERAL_OPT_MAX, brute_force_opt, opt_bipartite\n"
+        "import json, os, sys, tempfile\n"
+        "from click.testing import CliRunner\n"
+        "from mpmd.cli import main\n"
+        "from mpmd.instances import gen_random, save_instance\n"
+        "from mpmd.oracle import brute_force_opt, opt_bipartite\n"
         "small = gen_random(6, 3, metric='euclidean', bipartite=True)\n"
         "equal = opt_bipartite(small) == brute_force_opt(small)\n"
         "loaded = {}\n"
-        "for m in (6, GENERAL_OPT_MAX, GENERAL_OPT_MAX + 2):\n"
+        "for m in (6, 20, 22, 2000):\n"
         "    opt_bipartite(gen_random(m, 3, metric='euclidean', bipartite=True))\n"
         "    loaded[m] = 'scipy.optimize' in sys.modules\n"
-        "print(json.dumps({'equal': equal, 'loaded': loaded}))\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'b22.json')\n"
+        "save_instance(gen_random(22, 1, bipartite=True), path)\n"
+        "runner = CliRunner()\n"
+        "codes = [\n"
+        "    runner.invoke(main, ['opt', '-i', path]).exit_code,\n"
+        "    runner.invoke(main, ['ratio', '-i', path, '--policy', 'hemisphere-b', '--epsilon', '1']).exit_code,\n"
+        "]\n"
+        "loaded['cli'] = 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps({'equal': equal, 'codes': codes, 'loaded': loaded}))\n"
     )
-    assert result == {"equal": True, "loaded": {"6": False, "20": False, "22": True}}
+    assert result == {
+        "equal": True,
+        "codes": [0, 0],
+        "loaded": {"6": False, "20": False, "22": False, "2000": False, "cli": False},
+    }

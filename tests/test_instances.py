@@ -395,6 +395,21 @@ class TestFileFormat:
         with pytest.raises(InstanceFormatError, match=r"requests\[1\]\.t: expected a finite"):
             load_instance(path)
 
+    def test_an_int_of_5000_digits_in_a_file_names_the_file(self, tmp_path):
+        # json refuses to convert an int of more than 4,300 digits.
+        path = self._write(tmp_path, self.base())
+        text = path.read_text(encoding="utf-8").replace('"t": 1.0', '"t": ' + "9" * 5000)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=r"inst\.json: malformed JSON: .*4300"):
+            load_instance(path)
+
+    def test_an_int_beyond_the_double_range_is_named_by_its_type(self):
+        data = self.base()
+        data["requests"][1]["t"] = 10**5000
+        message = r"requests\[1\]\.t: expected a finite number, got an int beyond the double"
+        with pytest.raises(InstanceFormatError, match=message):
+            instance_from_dict(data)
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_line_location_names_the_field(self, tmp_path, bad):
         path = self._write(tmp_path, self.base())
