@@ -585,8 +585,8 @@ def _solved(solve, c):
 
 
 def test_the_kernel_opt_bipartite_loads_returns_the_columns_of_scipy_optimize():
-    # On scipy 1.17 both names hold one function object, which the extension
-    # keeps once loaded; the corpus guards a scipy on which they differ.
+    # On scipy 1.17 the two names are one function object; the corpus guards
+    # a scipy whose directly loaded extension gives a separate one.
     kernel = _linear_sum_assignment()
     infeasible = 0
     for c in _cost_matrices(20_000, 2016):
