@@ -101,6 +101,11 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # at m=8192 and 6 GB at m=16384.
 REQUEST_COUNT_MAX = 8192
 
+# Ids lie strictly between -_ID_END and _ID_END, so have at most 4,300
+# digits: Python refuses to turn a longer int into text, which saving an
+# instance or taking its digest does.
+_ID_END = 10**4300
+
 # Absolute tolerance under which two event times are considered tied.
 TIME_TIE_TOL = 1e-9
 
@@ -155,15 +160,15 @@ class Instance:
     """A metric space plus its requests in arrival order.
 
     The one check of a request's values.  The request count must be even
-    and at most ``REQUEST_COUNT_MAX``, ids non-negative and unique, every
-    time finite, and every location a valid point of the space.  Bipartite
-    instances carry a color 0 or 1 on every request with both colors equally
-    frequent; monochromatic instances carry no colors.  A ValueError names
-    the request by its position as given and its field in the file format:
-    ``requests[1].t: expected a finite number, got nan``.  ``requests`` is
-    stored sorted by (time, id), whatever order it was given in, so two
-    instances that list the same requests in different orders are equal, and
-    every consumer may rely on arrival order.
+    and at most ``REQUEST_COUNT_MAX``, ids ints, non-negative, unique and of
+    at most 4,300 digits, every time finite, and every location a valid point
+    of the space.  Bipartite instances carry a color 0 or 1 on every request
+    with both colors equally frequent; monochromatic instances carry no
+    colors.  A ValueError names the request by its position as given and its
+    field in the file format: ``requests[1].t: expected a finite number, got
+    nan``.  ``requests`` is stored sorted by (time, id), whatever order it was
+    given in, so two instances that list the same requests in different
+    orders are equal, and every consumer may rely on arrival order.
     """
 
     space: MetricSpace
@@ -179,6 +184,13 @@ class Instance:
             raise ValueError("request count must be even")
         ids: set[int] = set()
         for k, r in enumerate(requests):
+            if type(r.id) is not int:
+                raise ValueError(f"requests[{k}].id: expected an integer, got {r.id!r}")
+            if not -_ID_END < r.id < _ID_END:
+                raise ValueError(
+                    f"requests[{k}].id: expected at most 4,300 digits, "
+                    f"got an int of {r.id.bit_length():,} bits"
+                )
             if r.id < 0 or r.id in ids:
                 problem = "duplicate id" if r.id in ids else "expected a non-negative id, got"
                 raise ValueError(f"requests[{k}].id: {problem} {r.id}")

@@ -87,8 +87,8 @@ def theoretical_bound(m: int, epsilon: float) -> float:
     costs O(m^2) time.  Raises ValueError when the bound exceeds the largest
     double, as it does once f(m) underflows for a huge epsilon.
     """
-    if m < 2 or m % 2 != 0 or m > REQUEST_COUNT_MAX:
-        raise ValueError(f"m must be an even integer from 2 to {REQUEST_COUNT_MAX}, got m={m}")
+    if type(m) is not int or m < 2 or m % 2 != 0 or m > REQUEST_COUNT_MAX:
+        raise ValueError(f"m must be an even integer from 2 to {REQUEST_COUNT_MAX}, got m={m!r}")
     if not (is_finite_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and strictly positive, got {epsilon}")
     f_m = eval_f(m, 3.0 + epsilon).value(m)

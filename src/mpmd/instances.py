@@ -52,8 +52,8 @@ class LowerBoundParams:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if self.k > LOWER_BOUND_K_MAX:
             raise ValueError(
                 f"k must be at most {LOWER_BOUND_K_MAX} "
@@ -81,11 +81,11 @@ class TwoPointRowsParams:
     delta: float
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int or self.m % 4 != 0:
+            raise ValueError(f"m must be an integer multiple of 4, got {self.m!r}")
         if self.m < 8:
             raise ValueError(f"m must be >= 8, got {self.m}")
         _check_request_count(self.m)
-        if self.m % 4 != 0:
-            raise ValueError(f"m must be a multiple of 4, got {self.m}")
         if not (is_finite_real(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and strictly positive, got {self.delta}")
 
@@ -206,10 +206,8 @@ def gen_random(
     instances receive a balanced, seeded shuffle of colors.  The result is a
     pure function of the arguments.
     """
-    if m % 2 != 0:
-        raise ValueError("request count must be even")
-    if m < 0:
-        raise ValueError(f"request count must be non-negative, got {m}")
+    if type(m) is not int or m < 0 or m % 2 != 0:
+        raise ValueError(f"m must be an even non-negative integer, got {m!r}")
     _check_request_count(m)
     if not (is_finite_real(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
@@ -222,9 +220,9 @@ def gen_random(
         draw = lambda: tuple(rng.uniform(0.0, horizon) for _ in range(dim))
     elif metric == FINITE:
         # Checked before the n_points-squared matrix is built.
-        if not 2 <= n_points <= FINITE_POINTS_MAX:
+        if type(n_points) is not int or not 2 <= n_points <= FINITE_POINTS_MAX:
             raise ValueError(
-                f"finite metric needs 2 to {FINITE_POINTS_MAX} points, got {n_points}"
+                f"n_points must be an integer from 2 to {FINITE_POINTS_MAX} points, got {n_points!r}"
             )
         anchors = [
             (rng.uniform(0.0, horizon), rng.uniform(0.0, horizon))
@@ -297,11 +295,8 @@ def _parse_metric(data, context: str) -> MetricSpace:
     if kind == "line":
         return MetricSpace.line()
     if kind == "euclidean":
-        dim = data.get("dim")
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise InstanceFormatError(f"{context}.dim: expected a positive integer")
         try:
-            return MetricSpace.euclidean(dim)
+            return MetricSpace.euclidean(data.get("dim"))
         except ValueError as exc:
             raise InstanceFormatError(f"{context}.dim: {exc}") from None
     if kind == "finite":
@@ -335,9 +330,9 @@ def instance_from_dict(data: dict) -> Instance:
 
     The reader checks the JSON shape: the top level is an object, the metric
     is well formed, ``bipartite`` is a bool, ``requests`` a list of objects,
-    each ``id`` an integer, and each ``t``, line ``loc`` and coordinate a
-    finite number, which it converts to a float.  ``Instance`` then checks
-    the values: ids, points of the space, colors, count and balance.  Either
+    and each ``t``, line ``loc`` and coordinate a finite number, which it
+    converts to a float.  ``Instance`` then checks the values: ids, points
+    of the space, colors, count and balance.  Either
     failure raises InstanceFormatError naming the field, as ``requests[k].t``.
     """
     if not isinstance(data, dict):
@@ -355,16 +350,13 @@ def instance_from_dict(data: dict) -> Instance:
         context = f"requests[{idx}]"
         if not isinstance(entry, dict):
             raise InstanceFormatError(f"{context}: expected an object")
-        rid = entry.get("id")
-        if not isinstance(rid, int) or isinstance(rid, bool):
-            raise InstanceFormatError(f"{context}.id: expected an integer, got {rid!r}")
         t = _number(entry.get("t"), f"{context}.t")
         loc = entry.get("loc")
         if isinstance(loc, list):
             loc = tuple(_number(x, f"{context}.loc[{j}]") for j, x in enumerate(loc))
         elif not isinstance(loc, str):
             loc = _number(loc, f"{context}.loc")
-        requests.append(Request(rid, TimedPoint(loc, t), entry.get("color")))
+        requests.append(Request(entry.get("id"), TimedPoint(loc, t), entry.get("color")))
 
     try:
         return Instance(space=space, requests=tuple(requests), bipartite=bipartite)

@@ -17,12 +17,11 @@ entries; the line's and Euclidean space's take coordinate differences.
 
 The Euclidean formula is ``math.dist``.  numpy's square root of a sum of
 squares, and ``np.hypot``, differ from it in the last bit on some pairs, so
-blocks of differences go through ``_norms``: CPython's own algorithm
-(``vector_norm`` in Modules/mathmodule.c), transcribed one IEEE operation at
-a time onto arrays, which in one dimension, the line's, is the absolute
-value.  It pays only from about a thousand distances a call, so Euclidean
-calls asking for fewer than ``VECTOR_DISTANCES_MIN`` still call
-``math.dist`` once per pair.
+every line and Euclidean call of ``pair_distances``, whatever its size,
+takes the norms of its blocks of differences with ``_norms``: CPython's own
+algorithm (``vector_norm`` in Modules/mathmodule.c), transcribed one IEEE
+operation at a time onto arrays, which in one dimension, the line's, is the
+absolute value.
 """
 
 from __future__ import annotations
@@ -50,16 +49,6 @@ EUCLIDEAN_DIM_MAX = 1024
 # O(N^3) work, one row at a time in numpy: at N=256, 17 to 44 ms on a shared
 # 2-vCPU Xeon VM, and the N-by-N matrix is 64k entries of an instance file.
 FINITE_POINTS_MAX = 256
-
-# Fewest distances one call must ask for before Euclidean distances come from
-# the numpy kernel ``_norms`` rather than one ``math.dist`` call each.  The
-# kernel costs 60 to 95 us a call at the smallest sizes.  Per plane call of
-# ``pair_distances`` over a grid of rows by columns (shared 2-vCPU Xeon VM,
-# median of three runs), kernel against math.dist: 4x4 88 vs 6 us, 20x20 136
-# vs 102 us, 32x32 212 vs 253 us, 64x64 410 vs 980 us.  So the break-even is
-# near 1,000 distances, above every table ``verify`` builds (at most 144) and
-# the m=20 runs of the exact optimum (400).
-VECTOR_DISTANCES_MIN = 1024
 
 # Doubles of scratch per block of ``pair_distances``: one per coordinate and
 # 12 more per pair, about 1 MB, in cache, at any dimension.  A 1,000-by-1,000
@@ -139,8 +128,10 @@ def validate_metric(matrix) -> MetricViolation | None:
 class MetricSpace:
     """A line, Euclidean, or explicit finite metric space.
 
-    Use the factory classmethods; the plain constructor performs no checks.
-    Instances are immutable and safe to share between concurrent contexts.
+    Use the factory classmethods, which check their arguments.  The plain
+    constructor checks only the kind, line, euclidean or finite, so that the
+    functions below need not.  Instances are immutable and safe to share
+    between concurrent contexts.
     """
 
     kind: str
@@ -148,16 +139,18 @@ class MetricSpace:
     points: tuple[str, ...] = ()
     matrix: tuple[tuple[float, ...], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in (LINE, EUCLIDEAN, FINITE):
+            raise ValueError(f"unknown metric kind {self.kind!r}")
+
     @classmethod
     def line(cls) -> MetricSpace:
         return cls(kind=LINE)
 
     @classmethod
     def euclidean(cls, dim: int) -> MetricSpace:
-        if not 1 <= dim <= EUCLIDEAN_DIM_MAX:
-            raise ValueError(
-                f"euclidean dimension must be from 1 to {EUCLIDEAN_DIM_MAX}, got {dim}"
-            )
+        if type(dim) is not int or not 1 <= dim <= EUCLIDEAN_DIM_MAX:
+            raise ValueError(f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got {dim!r}")
         return cls(kind=EUCLIDEAN, dim=dim)
 
     @classmethod
@@ -228,11 +221,8 @@ def validate_point(space: MetricSpace, p: Point) -> None:
             )
         if not all(map(is_finite_real, p)):
             raise ValueError(f"euclidean coordinates must be finite real numbers, got {p!r}")
-    elif space.kind == FINITE:
-        if p not in space.points:
-            raise ValueError(f"unknown point name {p!r}")
-    else:
-        raise ValueError(f"unknown metric kind {space.kind!r}")
+    elif p not in space.points:
+        raise ValueError(f"unknown point name {p!r}")
 
 
 def _line_distance(a: Point, b: Point) -> float:
@@ -249,10 +239,8 @@ def distance_kernel(space: MetricSpace) -> Callable[[Point, Point], float]:
         return _line_distance
     if space.kind == EUCLIDEAN:
         return math.dist
-    if space.kind == FINITE:
-        positions, matrix = space.positions, space.matrix
-        return lambda a, b: matrix[positions[a]][positions[b]]
-    raise ValueError(f"unknown metric kind {space.kind!r}")
+    positions, matrix = space.positions, space.matrix
+    return lambda a, b: matrix[positions[a]][positions[b]]
 
 
 def distance(space: MetricSpace, a: Point, b: Point) -> float:
@@ -369,18 +357,11 @@ def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
     points[i[k]], points[j[k]])`` bit for bit.  The pairs go in blocks of
     ``_BLOCK_CELLS // (dim + 12)``, each converting its own indices to intp:
     a finite space gathers matrix entries, and the line (dim 1) and
-    Euclidean space take ``_norms`` of the absolute coordinate differences,
-    under ``np.errstate`` since a difference may overflow.  Scratch is
-    allocated only where it is used, as most calls are small.  Euclidean
-    calls asking for fewer than ``VECTOR_DISTANCES_MIN`` distances call
-    ``math.dist`` once per pair.  A table is one call over index grids.
+    Euclidean space, at every size, take ``_norms`` of the absolute
+    coordinate differences, under ``np.errstate`` since a difference may
+    overflow.  Scratch is allocated only where it is used, as most calls are
+    small.  A table is one call over index grids.
     """
-    if space.kind == EUCLIDEAN and len(i) < VECTOR_DISTANCES_MIN:
-        left = [points[k] for k in i.tolist()]
-        right = [points[k] for k in j.tolist()]
-        return np.array(list(map(math.dist, left, right)), dtype=float)
-    if space.kind not in (LINE, EUCLIDEAN, FINITE):
-        raise ValueError(f"unknown metric kind {space.kind!r}")
     step = max(1, min(len(i), _BLOCK_CELLS // (space.dim + 12)))
     # Fancy indexing is several times faster with intp indices.
     if space.kind == FINITE:

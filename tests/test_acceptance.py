@@ -101,11 +101,16 @@ def test_criterion_4_cascade_growth_rate():
     result = sweep("lower-bound", range(4, 11), epsilon=1.0)
     target = math.log2(5.0 / 4.0)
     ok = abs(result.slope - target) <= 0.05
+    # log2(r(k+1) / r(k)) for k = 4..9: the slope between neighbouring rows,
+    # which approaches the target as k grows.
+    ratios = [row.ratio_offline for row in result.rows]
+    local = " ".join(f"{math.log2(b / a):.4f}" for a, b in zip(ratios, ratios[1:]))
     _report(
         4,
         "cascade growth-rate slope",
         ok,
-        f"fitted slope {result.slope:.4f}, target {target:.4f} +/- 0.05",
+        f"fitted slope {result.slope:.4f}, target {target:.4f} +/- 0.05; "
+        f"local slopes k=4..9: {local}",
     )
     assert ok, (
         f"fitted slope {result.slope:.6f} outside {target:.6f} +/- 0.05; the "

@@ -205,6 +205,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Instance(LINE, (req(1, 0.0, 0.0), req(1, 1.0, 0.0)))
 
+    @pytest.mark.parametrize("rid", [1.5, math.inf, True, "1", None])
+    def test_id_must_be_an_int(self, rid):
+        # Saved, a float or bool id makes a file that load_instance refuses.
+        with pytest.raises(ValueError, match=r"requests\[0\]\.id: expected an integer, got "):
+            Instance(LINE, (req(rid, 0.0, 0.0), req(2, 1.0, 0.0)))
+
     def test_color_imbalance(self):
         with pytest.raises(ValueError, match="imbalanced"):
             Instance(
@@ -403,26 +409,22 @@ def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
     _assert_agrees_with_reference(_cascade(k, eta, bipartite), (1.0,))
 
 
-# simulate picks its event builder from the request count alone, the array
-# builder's Euclidean distances come from math.dist or the numpy kernel by the
-# pair count, and the array scan builds events by arrival batches and sorts
-# them in windows.  These (SMALL_RUN_MAX, VECTOR_DISTANCES_MIN, ARRIVAL_BATCH,
-# SORT_WINDOW) limits force one path at every count: "kernel" is the array
-# builder on the numpy kernel, and "batches" is that with batches of 2
-# requests and windows of 4 events, so every run crosses many batch
-# boundaries and pulls unsorted events in many times.
+# simulate picks its event builder from the request count alone, and the
+# array scan builds events by arrival batches and sorts them in windows.
+# These (SMALL_RUN_MAX, ARRIVAL_BATCH, SORT_WINDOW) limits force one path at
+# every count: "arrays" is the array builder, and "batches" is that with
+# batches of 2 requests and windows of 4 events, so every run crosses many
+# batch boundaries and pulls unsorted events in many times.
 BUILDER_LIMITS = {
-    "tuples": (10**9, 10**9, ARRIVAL_BATCH, SORT_WINDOW),
-    "arrays": (0, 10**9, ARRIVAL_BATCH, SORT_WINDOW),
-    "kernel": (0, 0, ARRIVAL_BATCH, SORT_WINDOW),
-    "batches": (0, 0, 2, 4),
+    "tuples": (10**9, ARRIVAL_BATCH, SORT_WINDOW),
+    "arrays": (0, ARRIVAL_BATCH, SORT_WINDOW),
+    "batches": (0, 2, 4),
 }
 
 
 def _force(monkeypatch, name):
-    small, vector, batch, window = BUILDER_LIMITS[name]
+    small, batch, window = BUILDER_LIMITS[name]
     monkeypatch.setattr(engine, "SMALL_RUN_MAX", small)
-    monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", vector)
     monkeypatch.setattr(engine, "ARRIVAL_BATCH", batch)
     monkeypatch.setattr(engine, "SORT_WINDOW", window)
 
@@ -484,7 +486,7 @@ def test_builders_give_bit_identical_reports(metric, bipartite, monkeypatch):
             for kind in _kinds(inst):
                 for eps in (0.1, 0.5, 2.0):
                     bits = _bits_by_builder(monkeypatch, inst, Policy(kind, eps))
-                    assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["batches"], (
+                    assert bits["tuples"] == bits["arrays"] == bits["batches"], (
                         m, seed, kind, eps
                     )
 
@@ -594,7 +596,7 @@ def test_degenerate_times_need_no_warning(case, monkeypatch):
             # epsilon = 4 keeps the overflow case's event times finite.
             policy = Policy(kind, 4.0)
             bits = _bits_by_builder(monkeypatch, inst, policy)
-            assert bits["tuples"] == bits["arrays"] == bits["kernel"] == bits["batches"], policy
+            assert bits["tuples"] == bits["arrays"] == bits["batches"], policy
 
 
 def _spy_batches(monkeypatch):
@@ -748,8 +750,8 @@ def test_sorted_events_equal_scalar_firing_rule(seed, monkeypatch):
     m = len(requests)
     loc = [r.location for r in requests]
     arrival = np.array([r.time for r in requests], dtype=float)
-    for kind, name in itertools.product(_kinds(inst), ("arrays", "kernel")):
-        _force(monkeypatch, name)
+    _force(monkeypatch, "arrays")
+    for kind in _kinds(inst):
         policy = Policy(kind, 0.7)
         times, early, late = _sorted_events(requests, inst.space, policy)
         got = [

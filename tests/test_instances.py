@@ -29,7 +29,14 @@ from mpmd.instances import (
     recurrence_ab_closed_form,
     save_instance,
 )
-from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, validate_metric, validate_point
+from mpmd.harness import theoretical_bound
+from mpmd.metric import (
+    EUCLIDEAN_DIM_MAX,
+    FINITE_POINTS_MAX,
+    MetricSpace,
+    validate_metric,
+    validate_point,
+)
 from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form
 
 from helpers import assert_checks_pass
@@ -410,6 +417,35 @@ class TestFileFormat:
         with pytest.raises(InstanceFormatError, match=message):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "rid", [10**4300, 10**5000, -(10**5000)], ids=["4301", "5001", "minus-5001"]
+    )
+    def test_an_id_of_more_than_4300_digits_is_named_by_its_size(self, rid):
+        # Saving or digesting such an id would raise: Python refuses to turn
+        # an int of more than 4,300 digits into text.
+        data = self.base()
+        data["requests"][0]["id"] = rid
+        message = r"requests\[0\]\.id: expected at most 4,300 digits, got an int of [\d,]+ bits"
+        with pytest.raises(InstanceFormatError, match=message):
+            instance_from_dict(data)
+
+    def test_the_largest_id_round_trips_through_a_file(self, tmp_path):
+        data = self.base()
+        data["requests"][0]["id"] = 10**4300 - 1
+        inst = instance_from_dict(data)
+        path = tmp_path / "largest.json"
+        save_instance(inst, path)
+        assert load_instance(path) == inst
+        assert instance_digest(inst) == instance_digest(load_instance(path))
+
+    def test_an_id_of_4301_digits_in_a_file_names_the_file(self, tmp_path):
+        # json's reader refuses the first id that Instance refuses.
+        path = self._write(tmp_path, self.base())
+        text = path.read_text(encoding="utf-8").replace('"id": 1,', '"id": 1' + "0" * 4300 + ",")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=r"inst\.json: malformed JSON: .*4300"):
+            load_instance(path)
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_line_location_names_the_field(self, tmp_path, bad):
         path = self._write(tmp_path, self.base())
@@ -564,3 +600,24 @@ def test_any_json_value_in_any_field_loads_or_is_refused(field, value):
         instance_from_dict(data)
     except InstanceFormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: MetricSpace.euclidean(2.0), "dim"),
+        (lambda: MetricSpace.euclidean(True), "dim"),
+        (lambda: LowerBoundParams(k=3.0, epsilon=1.0), "k"),
+        (lambda: TwoPointRowsParams(m=8.0, delta=0.1), "m"),
+        (lambda: gen_random(4.0, 1), "m"),
+        (lambda: gen_random(4, 1, metric="finite", n_points=4.0), "n_points"),
+        (lambda: theoretical_bound(4.0, 1.0), "m"),
+    ],
+    ids=["dim-float", "dim-bool", "k", "rows-m", "random-m", "n_points", "bound-m"],
+)
+def test_integer_parameters_refuse_floats_and_bools(make, name):
+    # Each is refused where it is given, naming the parameter, not by a
+    # TypeError deep inside; a bool dim would write "dim": true, which the
+    # file reader refuses.
+    with pytest.raises(ValueError, match=rf"^{name} must be an (even )?(non-negative )?integer"):
+        make()

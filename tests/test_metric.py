@@ -11,7 +11,6 @@ import mpmd.metric as metric_layer
 from mpmd.metric import (
     EUCLIDEAN_DIM_MAX,
     FINITE_POINTS_MAX,
-    VECTOR_DISTANCES_MIN,
     MetricSpace,
     TimedPoint,
     augmented_distance,
@@ -48,6 +47,11 @@ def test_unknown_point_name():
 def test_euclidean_dimension_mismatch():
     with pytest.raises(ValueError, match="coordinates"):
         distance(MetricSpace.euclidean(2), (0.0, 0.0), (1.0, 2.0, 3.0))
+
+
+def test_plain_constructor_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
+        MetricSpace(kind="bogus")
 
 
 def test_euclidean_dim_must_be_positive():
@@ -241,22 +245,17 @@ def test_finite_distances_array_is_built_once_and_read_only():
     assert pair_distances(space, ["p0", "p1"], *_grid(2, 2)).flags.writeable
 
 
-# (VECTOR_DISTANCES_MIN, _BLOCK_CELLS): the real cut-off, which sends small
-# calls to math.dist and large ones to the numpy kernel; the kernel for every
-# call; and the kernel in blocks of a few pairs, so that blocks split rows and
-# columns.
+# _BLOCK_CELLS: the real one, and blocks of a few pairs, so that blocks split
+# rows and columns.
 DISTANCE_PATHS = {
-    "cut-off": (VECTOR_DISTANCES_MIN, metric_layer._BLOCK_CELLS),
-    "kernel": (0, metric_layer._BLOCK_CELLS),
-    "small-blocks": (0, 100),
+    "kernel": metric_layer._BLOCK_CELLS,
+    "small-blocks": 100,
 }
 
 
 @pytest.fixture(params=sorted(DISTANCE_PATHS))
 def distance_path(request, monkeypatch):
-    vector, cells = DISTANCE_PATHS[request.param]
-    monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", vector)
-    monkeypatch.setattr(metric_layer, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(metric_layer, "_BLOCK_CELLS", DISTANCE_PATHS[request.param])
     return request.param
 
 
@@ -291,8 +290,8 @@ def test_euclidean_distances_equal_math_dist_bit_for_bit(distance_path, dim):
     a = _hard_points(dim, rng)
     n = len(a)
     # 47 points: the square grid and the pair list ask for 2,209 distances and
-    # the rectangle for 1,128, all above the cut-off; the 9-point grids and
-    # the first 50 pairs fall below it.
+    # the rectangle for 1,128; the 9-point grids and the first 50 pairs are
+    # small calls.
     for points in (a, a[:9]):
         square = pair_distances(space, points, *_grid(len(points), len(points)))
         assert _bits(square) == _bits(math.dist(p, q) for p in points for q in points)
@@ -317,8 +316,7 @@ def test_pair_distances_on_random_pairs_equal_distance(distance_path, kind):
     assert _bits(pair_distances(space, points, i, j)) == _bits(expected)
 
 
-def test_empty_inputs_through_the_kernel(monkeypatch):
-    monkeypatch.setattr(metric_layer, "VECTOR_DISTANCES_MIN", 0)
+def test_empty_inputs_through_the_kernel():
     space = MetricSpace.euclidean(3)
     empty = np.array([], dtype=np.int32)
     assert pair_distances(space, [], empty, empty).shape == (0,)
