@@ -82,6 +82,7 @@ from mpmd.metric import (
     is_finite_real,
     pair_distances,
     validate_point,
+    value_repr,
 )
 
 HEMISPHERE = "hemisphere"
@@ -196,14 +197,18 @@ class Instance:
                 raise ValueError(f"requests[{k}].id: {problem} {r.id}")
             ids.add(r.id)
             if not is_finite_real(r.time):
-                raise ValueError(f"requests[{k}].t: expected a finite number, got {r.time!r}")
+                raise ValueError(
+                    f"requests[{k}].t: expected a finite number, got {value_repr(r.time)}"
+                )
             try:
                 validate_point(self.space, r.location)
             except ValueError as exc:
                 raise ValueError(f"requests[{k}].loc: {exc}") from None
             if self.bipartite:
                 if type(r.color) is not int or r.color not in (0, 1):
-                    raise ValueError(f"requests[{k}].color: expected 0 or 1, got {r.color!r}")
+                    raise ValueError(
+                        f"requests[{k}].color: expected 0 or 1, got {value_repr(r.color)}"
+                    )
             elif r.color is not None:
                 raise ValueError(f"requests[{k}].color: given on a monochromatic instance")
         if self.bipartite:
@@ -229,7 +234,9 @@ class Policy:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
+            raise ValueError(
+                f"epsilon must be finite and strictly positive, got {value_repr(self.epsilon)}"
+            )
 
 
 @dataclass(frozen=True)

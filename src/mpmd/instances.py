@@ -33,6 +33,7 @@ from mpmd.metric import (
     MetricSpace,
     TimedPoint,
     is_finite_real,
+    value_repr,
 )
 
 ETA_MAX = 1e-3
@@ -53,23 +54,26 @@ class LowerBoundParams:
 
     def __post_init__(self) -> None:
         if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+            raise ValueError(f"k must be an integer >= 1, got {value_repr(self.k)}")
         if self.k > LOWER_BOUND_K_MAX:
+            k = value_repr(self.k)
             raise ValueError(
                 f"k must be at most {LOWER_BOUND_K_MAX} "
                 f"(2**{LOWER_BOUND_K_MAX} = {2**LOWER_BOUND_K_MAX} requests), "
-                f"got k={self.k}, which asks for 2**{self.k} requests"
+                f"got k={k}, which asks for 2**{k} requests"
             )
         if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and strictly positive, got {self.epsilon}")
+            raise ValueError(
+                f"epsilon must be finite and strictly positive, got {value_repr(self.epsilon)}"
+            )
         if not 0 <= self.eta < ETA_MAX:
-            raise ValueError(f"eta must lie in [0, {ETA_MAX}), got {self.eta}")
+            raise ValueError(f"eta must lie in [0, {ETA_MAX}), got {value_repr(self.eta)}")
 
 
 def _check_request_count(m: int) -> None:
     if m > REQUEST_COUNT_MAX:
         raise ValueError(
-            f"m must be at most {REQUEST_COUNT_MAX} requests, got m={m}"
+            f"m must be at most {REQUEST_COUNT_MAX} requests, got m={value_repr(m)}"
         )
 
 
@@ -82,12 +86,14 @@ class TwoPointRowsParams:
 
     def __post_init__(self) -> None:
         if type(self.m) is not int or self.m % 4 != 0:
-            raise ValueError(f"m must be an integer multiple of 4, got {self.m!r}")
+            raise ValueError(f"m must be an integer multiple of 4, got {value_repr(self.m)}")
         if self.m < 8:
-            raise ValueError(f"m must be >= 8, got {self.m}")
+            raise ValueError(f"m must be >= 8, got {value_repr(self.m)}")
         _check_request_count(self.m)
         if not (is_finite_real(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be finite and strictly positive, got {self.delta}")
+            raise ValueError(
+                f"delta must be finite and strictly positive, got {value_repr(self.delta)}"
+            )
 
 
 def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
@@ -97,9 +103,9 @@ def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
     b_i = (2 + 1/(1+eps))**(i-1).
     """
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise ValueError(f"index must be >= 1, got {value_repr(i)}")
     if not (is_finite_real(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and strictly positive, got {epsilon}")
+        raise ValueError(f"epsilon must be finite and strictly positive, got {value_repr(epsilon)}")
     b = 1.0
     a = b / (1.0 + epsilon)
     for _ in range(i - 1):
@@ -111,7 +117,7 @@ def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
 def recurrence_ab_closed_form(i: int, epsilon: float) -> tuple[float, float]:
     """Closed-form (a_i, b_i); cross-check for the iterative recurrence."""
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise ValueError(f"index must be >= 1, got {value_repr(i)}")
     base = 2.0 + 1.0 / (1.0 + epsilon)
     return base**i / (2.0 * epsilon + 3.0), base ** (i - 1)
 
@@ -207,10 +213,10 @@ def gen_random(
     pure function of the arguments.
     """
     if type(m) is not int or m < 0 or m % 2 != 0:
-        raise ValueError(f"m must be an even non-negative integer, got {m!r}")
+        raise ValueError(f"m must be an even non-negative integer, got {value_repr(m)}")
     _check_request_count(m)
     if not (is_finite_real(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+        raise ValueError(f"horizon must be finite and positive, got {value_repr(horizon)}")
     rng = random.Random(seed)
     if metric == LINE:
         space = MetricSpace.line()
@@ -222,7 +228,8 @@ def gen_random(
         # Checked before the n_points-squared matrix is built.
         if type(n_points) is not int or not 2 <= n_points <= FINITE_POINTS_MAX:
             raise ValueError(
-                f"n_points must be an integer from 2 to {FINITE_POINTS_MAX} points, got {n_points!r}"
+                f"n_points must be an integer from 2 to {FINITE_POINTS_MAX} points, "
+                f"got {value_repr(n_points)}"
             )
         anchors = [
             (rng.uniform(0.0, horizon), rng.uniform(0.0, horizon))

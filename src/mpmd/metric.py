@@ -9,11 +9,13 @@ All values are finite double-precision reals and comparisons here are exact;
 any tolerance handling belongs to the simulation layer, where events are
 ordered.  Each space's scalar formula lives in ``distance_kernel``, which
 trusts its points; ``distance`` validates them first.  ``pair_distances``,
-the one array path, takes many distances at once for a list of index pairs,
-in blocks that stay in cache, and agrees with ``distance`` bit for bit; a
-table of every row against every column is one call over index grids, as
-the oracle builds its matrices.  A finite space's block gathers matrix
-entries; the line's and Euclidean space's take coordinate differences.
+the one array path, takes many distances at once for index arrays that
+broadcast together, in blocks of rows that stay in cache, and agrees with
+``distance`` bit for bit.  A list of pairs is two index lists; a table of
+every row against every column, as the oracle builds its matrices, is a
+column of row indices against a row of column indices, with no index grid.
+A finite space's block gathers matrix entries; the line's and Euclidean
+space's take coordinate differences.
 
 The Euclidean formula is ``math.dist``.  numpy's square root of a sum of
 squares, and ``np.hypot``, differ from it in the last bit on some pairs, so
@@ -52,9 +54,10 @@ FINITE_POINTS_MAX = 256
 
 # Doubles of scratch per block of ``pair_distances``: one per coordinate and
 # 12 more per pair, about 1 MB, in cache, at any dimension.  A 1,000-by-1,000
-# grid (shared 2-vCPU Xeon VM, median of nine interleaved calls) took, at this
-# size, half of it and 1.5 times: line 8.4, 10.2 and 8.5 ms; finite:4 15.0,
-# 16.4 and 15.3 ms; plane 75, 93 and 82 ms, and 390 ms through math.dist.
+# table, a column of row indices against a row of column indices (shared
+# 2-vCPU Xeon VM, median of nine interleaved calls), took, at this size, half
+# of it and 1.5 times: line 3.6, 3.7 and 2.5 ms; finite:4 4.4, 4.8 and 4.2 ms;
+# plane 42, 53 and 49 ms, and 138 ms through math.dist.
 _BLOCK_CELLS = 131072
 
 # 2**27 + 1: x * _SPLITTER splits a double into halves whose products are
@@ -150,7 +153,9 @@ class MetricSpace:
     @classmethod
     def euclidean(cls, dim: int) -> MetricSpace:
         if type(dim) is not int or not 1 <= dim <= EUCLIDEAN_DIM_MAX:
-            raise ValueError(f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got {dim!r}")
+            raise ValueError(
+                f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got {value_repr(dim)}"
+            )
         return cls(kind=EUCLIDEAN, dim=dim)
 
     @classmethod
@@ -171,7 +176,9 @@ class MetricSpace:
                 raise ValueError(f"matrix[{i}] must be a list of numbers, got {row!r}")
             for j, x in enumerate(row):
                 if not is_finite_real(x):
-                    raise ValueError(f"matrix[{i}][{j}] must be a finite number, got {x!r}")
+                    raise ValueError(
+                        f"matrix[{i}][{j}] must be a finite number, got {value_repr(x)}"
+                    )
         rows = tuple(tuple(map(float, row)) for row in matrix)
         violation = validate_metric(rows)
         if violation is not None:
@@ -209,11 +216,22 @@ def is_finite_real(x) -> bool:
         return False
 
 
+def value_repr(value) -> str:
+    """repr(value), or for an int too long for ``repr`` (by default one of
+    more than 4,300 digits), its size: "an int of N bits"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"an int of {value.bit_length():,} bits"
+
+
 def validate_point(space: MetricSpace, p: Point) -> None:
     """Raise ValueError when p is not a valid point of the given space."""
     if space.kind == LINE:
         if not is_finite_real(p):
-            raise ValueError(f"line point must be a finite real number, got {p!r}")
+            raise ValueError(f"line point must be a finite real number, got {value_repr(p)}")
     elif space.kind == EUCLIDEAN:
         if not isinstance(p, (tuple, list)) or len(p) != space.dim:
             raise ValueError(
@@ -349,45 +367,70 @@ def _finite_rows(space: MetricSpace, points) -> list[int]:
         raise ValueError(f"unknown point name {exc.args[0]!r}") from None
 
 
+def block_rows(space: MetricSpace, row_len: int) -> int:
+    """How many rows of row_len entries one block of ``pair_distances``
+    takes: ``_BLOCK_CELLS // (dim + 12)`` entries or fewer, and at least one
+    row."""
+    return max(1, _BLOCK_CELLS // (space.dim + 12) // max(row_len, 1))
+
+
+def _rows(a: np.ndarray, n: int, s: int, e: int) -> np.ndarray:
+    """Rows s to e-1 of an index array whose leading axis is n long or
+    broadcasts, as intp."""
+    # Fancy indexing is several times faster with intp indices.
+    return (a[s:e] if len(a) == n else a).astype(np.intp)
+
+
 def pair_distances(space: MetricSpace, points, i, j) -> np.ndarray:
-    """Spatial distance from points[i[k]] to points[j[k]], for every k.
+    """Spatial distance from points[i[k]] to points[j[k]], for every index k.
 
     points is a sequence of points of the space; i and j are integer arrays
-    of one length, indexing it.  Entry k equals ``distance(space,
-    points[i[k]], points[j[k]])`` bit for bit.  The pairs go in blocks of
-    ``_BLOCK_CELLS // (dim + 12)``, each converting its own indices to intp:
-    a finite space gathers matrix entries, and the line (dim 1) and
-    Euclidean space, at every size, take ``_norms`` of the absolute
-    coordinate differences, under ``np.errstate`` since a difference may
-    overflow.  Scratch is allocated only where it is used, as most calls are
-    small.  A table is one call over index grids.
+    indexing it that broadcast together, and the result has their broadcast
+    shape: two index lists of one length give a list of pair distances, and
+    an (R, 1) column of row indices against a (1, C) row of column indices
+    an R-by-C table.  Every entry equals ``distance(space, points[a],
+    points[b])`` bit for bit.  The leading rows go in blocks of
+    ``block_rows``, each converting its own indices to intp and gathering
+    an index array that broadcasts along them once: a finite space gathers
+    matrix entries, and the line (dim 1) and Euclidean space, at every size,
+    take ``_norms`` of the absolute coordinate differences, under
+    ``np.errstate`` since a difference may overflow.  Scratch is allocated
+    only where it is used, as most calls are small.
     """
-    step = max(1, min(len(i), _BLOCK_CELLS // (space.dim + 12)))
-    # Fancy indexing is several times faster with intp indices.
+    i, j = np.asarray(i), np.asarray(j)
+    shape = np.broadcast(i, j).shape
+    if i.ndim != j.ndim or not shape:
+        # Blocks are slices of leading rows: both get the result's number of
+        # axes, and at least one, by length-1 axes in front.
+        ndim = max(len(shape), 1)
+        i, j = (a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in (i, j))
+    n, row = (shape[0] if shape else 1), math.prod(shape[1:])
+    step = max(1, min(n, block_rows(space, row)))
     if space.kind == FINITE:
         rows = np.array(_finite_rows(space, points), dtype=np.intp)
-        out = np.empty(len(i))
-        for s in range(0, len(i), step):
-            i_block, j_block = i[s : s + step].astype(np.intp), j[s : s + step].astype(np.intp)
-            out[s : s + step] = space.distances[rows[i_block], rows[j_block]]
-        return out
-    # One contiguous row per coordinate.
+        out = np.empty(n * row)
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            block = space.distances[rows[_rows(i, n, s, e)], rows[_rows(j, n, s, e)]]
+            out[s * row : e * row] = block.reshape(-1)
+        return out.reshape(shape)
+    # One contiguous row per coordinate, and the scratch in the result's shape.
     x = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), space.dim).T)
-    v = np.empty((space.dim, step))
-    work = np.empty((11, step)) if space.dim > 1 else None
+    v = np.empty((space.dim, step) + shape[1:])
+    work = np.empty((11, step * row)) if space.dim > 1 else None
     # Allocated after the scratch: allocated before it, the 1000-by-1000 plane
     # table of the benchmark's exact workload raised its peak RSS by 6 MB.
-    out = np.empty(len(i))
+    out = np.empty(n * row)
     with np.errstate(all="ignore"):
-        for s in range(0, len(i), step):
-            e = min(s + step, len(i))
-            i_block, j_block = i[s:e].astype(np.intp), j[s:e].astype(np.intp)
-            for c, row in enumerate(x):
-                np.subtract(row[i_block], row[j_block], out=v[c, : e - s])
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            i_block, j_block = _rows(i, n, s, e), _rows(j, n, s, e)
             block = v[:, : e - s]
+            for c, coordinate in enumerate(x):
+                np.subtract(coordinate[i_block], coordinate[j_block], out=block[c])
             np.abs(block, out=block)
-            _norms(block, out[s:e], work)
-    return out
+            _norms(block.reshape(space.dim, -1), out[s * row : e * row], work)
+    return out.reshape(shape)
 
 
 def augmented_distance(space: MetricSpace, p: TimedPoint, q: TimedPoint) -> float:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, Policy
+from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, REQUEST_COUNT_MAX, Policy
 from mpmd.harness import (
     compute_ratio,
     eval_f,
@@ -50,9 +50,28 @@ class TestEvalF:
         with pytest.raises(ValueError, match="gamma"):
             eval_f(8, 2.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 10**5000], ids=["inf", "nan", "huge"])
+    def test_rejects_gamma_that_is_not_a_finite_number(self, gamma):
+        # 10**5000 would overflow in the first division.
+        with pytest.raises(ValueError, match=r"^gamma must be finite and > 2, got (inf|nan|an int)"):
+            eval_f(8, gamma)
+
     def test_rejects_odd_m(self):
         with pytest.raises(ValueError):
             eval_f(7, 3.0)
+
+    @pytest.mark.parametrize(
+        "m_max",
+        [8.0, True, 0, 10**7, REQUEST_COUNT_MAX + 2, 10**5000],
+        ids=["float", "bool", "zero", "ten-million", "cap-plus-2", "5001-digits"],
+    )
+    def test_refuses_m_max_beyond_the_largest_instance(self, m_max):
+        # Refused before the O(m_max^2) loop, as theoretical_bound refuses its
+        # m: a float would fail on list repetition, 10**5000 overflow, and
+        # 10**7 run for hours.
+        message = rf"^m_max must be an even integer from 2 to {REQUEST_COUNT_MAX}, got m_max="
+        with pytest.raises(ValueError, match=message):
+            eval_f(m_max, 3.0)
 
 
 class TestTheoreticalBound:

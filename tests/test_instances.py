@@ -621,3 +621,53 @@ def test_integer_parameters_refuse_floats_and_bools(make, name):
     # file reader refuses.
     with pytest.raises(ValueError, match=rf"^{name} must be an (even )?(non-negative )?integer"):
         make()
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: theoretical_bound(HUGE, 1.0), "m"),
+        (lambda: theoretical_bound(4, HUGE), "epsilon"),
+        (lambda: LowerBoundParams(k=HUGE, epsilon=1.0), "k"),
+        (lambda: LowerBoundParams(k=-HUGE, epsilon=1.0), "k"),
+        (lambda: LowerBoundParams(k=2, epsilon=1.0, eta=HUGE), "eta"),
+        (lambda: TwoPointRowsParams(m=HUGE, delta=0.1), "m"),
+        (lambda: TwoPointRowsParams(m=HUGE + 2, delta=0.1), "m"),
+        (lambda: TwoPointRowsParams(m=-HUGE, delta=0.1), "m"),
+        (lambda: gen_random(HUGE, 1), "m"),
+        (lambda: gen_random(HUGE + 1, 1), "m"),
+        (lambda: gen_random(4, 1, horizon=-HUGE), "horizon"),
+        (lambda: gen_random(4, 1, metric="finite", n_points=HUGE), "n_points"),
+        (lambda: Policy(HEMISPHERE_BIPARTITE, epsilon=HUGE), "epsilon"),
+        (
+            lambda: instance_from_dict(
+                {"metric": {"kind": "euclidean", "dim": HUGE}, "requests": []}
+            ),
+            r"metric\.dim: dim",
+        ),
+    ],
+    ids=[
+        "bound-m",
+        "bound-epsilon",
+        "k",
+        "minus-k",
+        "eta",
+        "rows-m",
+        "rows-m-plus-2",
+        "minus-rows-m",
+        "random-m",
+        "random-odd-m",
+        "horizon",
+        "n_points",
+        "policy-epsilon",
+        "file-dim",
+    ],
+)
+def test_an_int_of_more_than_4300_digits_is_named_by_its_size(make, field):
+    # repr and str refuse such an int, so a message that formats it would
+    # raise Python's own "Exceeds the limit" error in place of the field's.
+    with pytest.raises(ValueError, match=rf"^{field} must .*got ({field}=)?an int of 16,610 bits"):
+        make()

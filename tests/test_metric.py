@@ -210,6 +210,12 @@ def _grid(rows: int, cols: int, first_col: int = 0) -> tuple[np.ndarray, np.ndar
     return i, j
 
 
+def _table(rows: int, cols: int, first_col: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The same pairs as ``_grid``, as a table: a column of the row positions
+    against a row of the column positions, which broadcast to rows x cols."""
+    return np.arange(rows)[:, None], np.arange(first_col, first_col + cols)[None, :]
+
+
 @pytest.mark.parametrize("kind", ["line", "euclidean2", "euclidean3", "finite"])
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_distances_on_grids_are_bit_equal_to_distance(kind, seed):
@@ -225,12 +231,66 @@ def test_pair_distances_on_grids_are_bit_equal_to_distance(kind, seed):
     assert _bits(rect) == _bits(distance(space, p, q) for p in a for q in b)
 
 
+@pytest.mark.parametrize("kind", ["line", "euclidean2", "euclidean3", "finite"])
+@pytest.mark.parametrize("seed", range(2))
+def test_pair_distances_on_tables_equal_grids_and_distance(distance_path, kind, seed):
+    # The table form gathers each row's and each column's coordinates once
+    # per block, yet must give the bits of the pair list and of distance.
+    rng = random.Random(seed)
+    space = _space(kind, rng)
+    a = _random_locations(kind, 60, rng)
+    b = _random_locations(kind, 25, rng)
+    for rows, cols in ((a, a), (a, b), (b, a), (a[:1], b), (a, b[:1])):
+        first = len(rows)
+        table = pair_distances(space, rows + cols, *_table(len(rows), len(cols), first))
+        assert table.shape == (len(rows), len(cols))
+        grid = pair_distances(space, rows + cols, *_grid(len(rows), len(cols), first))
+        assert _bits(table.ravel()) == _bits(grid)
+        assert _bits(table.ravel()) == _bits(distance(space, p, q) for p in rows for q in cols)
+
+
+@pytest.mark.parametrize("kind", ["line", "euclidean2", "finite"])
+def test_pair_distances_take_any_broadcast(distance_path, kind):
+    # The result has the broadcast shape, whichever array spans which axis
+    # and however many axes each has.
+    rng = random.Random(8)
+    space = _space(kind, rng)
+    points = _random_locations(kind, 30, rng)
+    cases = [
+        (np.arange(6)[None, :], np.arange(6, 10)[:, None]),
+        (np.arange(5)[:, None], np.arange(5, 12)),
+        (np.arange(30).reshape(2, 3, 5), np.arange(25, 30, dtype=np.int32)),
+        (np.int32(3), np.arange(30)),
+        (np.arange(30), 4),
+        (np.int64(3), np.int64(29)),
+    ]
+    for i, j in cases:
+        got = pair_distances(space, points, i, j)
+        wide_i, wide_j = np.broadcast_arrays(i, j)
+        assert got.shape == wide_i.shape
+        expected = (
+            distance(space, points[p], points[q])
+            for p, q in zip(wide_i.ravel().tolist(), wide_j.ravel().tolist())
+        )
+        assert _bits(got.ravel()) == _bits(expected)
+
+
+@pytest.mark.parametrize("kind", ["line", "euclidean2", "euclidean3", "finite"])
+def test_empty_tables_keep_their_shapes(kind):
+    rng = random.Random(4)
+    space = _space(kind, rng)
+    points = _random_locations(kind, 10, rng)
+    for rows, cols in ((0, 5), (5, 0), (0, 0)):
+        assert pair_distances(space, points, *_table(rows, cols, 5)).shape == (rows, cols)
+
+
 def test_pair_distances_empty_and_unknown_name():
     empty = np.array([], dtype=np.int32)
     assert pair_distances(MetricSpace.euclidean(2), [], empty, empty).shape == (0,)
     assert pair_distances(MetricSpace.line(), [1.0], empty, empty).shape == (0,)
-    with pytest.raises(ValueError, match="unknown point name 'C'"):
-        pair_distances(finite_ab, ["A", "C"], *_grid(2, 2))
+    for indices in (_grid(2, 2), _table(2, 2), _table(1, 1, 1), _table(0, 1, 1)):
+        with pytest.raises(ValueError, match="unknown point name 'C'"):
+            pair_distances(finite_ab, ["A", "C"], *indices)
 
 
 def test_finite_distances_array_is_built_once_and_read_only():
@@ -292,12 +352,17 @@ def test_euclidean_distances_equal_math_dist_bit_for_bit(distance_path, dim):
     # 47 points: the square grid and the pair list ask for 2,209 distances and
     # the rectangle for 1,128; the 9-point grids and the first 50 pairs are
     # small calls.
+    # Each grid is taken as a pair list and as a table.
     for points in (a, a[:9]):
-        square = pair_distances(space, points, *_grid(len(points), len(points)))
-        assert _bits(square) == _bits(math.dist(p, q) for p in points for q in points)
-    for rows, cols in ((a, a[::2]), (a[:9], a[:7]), (a[:1], a)):
-        rect = pair_distances(space, rows + cols, *_grid(len(rows), len(cols), len(rows)))
-        assert _bits(rect) == _bits(math.dist(p, q) for p in rows for q in cols)
+        expected = _bits(math.dist(p, q) for p in points for q in points)
+        for indices in (_grid(len(points), len(points)), _table(len(points), len(points))):
+            square = pair_distances(space, points, *indices)
+            assert _bits(square.ravel()) == expected
+    for rows, cols in ((a, a[::2]), (a[:9], a[:7]), (a[:1], a), (a, a[:1])):
+        expected = _bits(math.dist(p, q) for p in rows for q in cols)
+        for make in (_grid, _table):
+            rect = pair_distances(space, rows + cols, *make(len(rows), len(cols), len(rows)))
+            assert _bits(rect.ravel()) == expected
     i, j = (k.astype(np.int32) for k in np.nonzero(np.ones((n, n), dtype=bool)))
     for take in (slice(None), slice(0, 50)):
         got = pair_distances(space, a, i[take], j[take])
