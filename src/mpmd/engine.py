@@ -81,6 +81,8 @@ from mpmd.metric import (
     distance_kernel,
     is_finite_real,
     pair_distances,
+    require_int,
+    require_positive,
     validate_point,
     value_repr,
 )
@@ -179,10 +181,7 @@ class Instance:
     def __post_init__(self) -> None:
         requests = tuple(self.requests)
         m = len(requests)
-        if m > REQUEST_COUNT_MAX:
-            raise ValueError(f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}")
-        if m % 2 != 0:
-            raise ValueError("request count must be even")
+        require_int("request count", m, 0, REQUEST_COUNT_MAX, step=2)
         ids: set[int] = set()
         for k, r in enumerate(requests):
             if type(r.id) is not int:
@@ -233,10 +232,7 @@ class Policy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(
-                f"epsilon must be finite and strictly positive, got {value_repr(self.epsilon)}"
-            )
+        require_positive("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from mpmd.instances import (
     gen_two_point_rows,
     instance_digest,
 )
-from mpmd.metric import is_finite_real, value_repr
+from mpmd.metric import is_finite_real, require_int, require_positive, value_repr
 from mpmd.oracle import GENERAL_OPT_MAX, opt_bipartite, opt_general
 
 
@@ -56,27 +56,17 @@ class FTable:
         return 2 * len(self.values)
 
     def value(self, m: int) -> float:
-        if m % 2 != 0 or not 2 <= m <= self.m_max:
-            raise ValueError(f"f is tabulated for even m in [2, {self.m_max}], got {value_repr(m)}")
+        require_int("m", m, 2, self.m_max, step=2)
         return self.values[m // 2 - 1]
-
-
-def _check_m(name: str, m) -> None:
-    """Refuse an m that is not an even int from 2 to ``REQUEST_COUNT_MAX``,
-    the largest instance, since the table costs O(m^2) time."""
-    if type(m) is not int or m < 2 or m % 2 != 0 or m > REQUEST_COUNT_MAX:
-        raise ValueError(
-            f"{name} must be an even integer from 2 to {REQUEST_COUNT_MAX}, "
-            f"got {name}={value_repr(m)}"
-        )
 
 
 def eval_f(m_max: int, gamma: float) -> FTable:
     """Exact dynamic-programming evaluation of the recurrence up to m_max,
-    an even int from 2 to ``REQUEST_COUNT_MAX``."""
+    an even int from 2 to ``REQUEST_COUNT_MAX``, the largest instance, since
+    the table costs O(m^2) time."""
     if not (is_finite_real(gamma) and gamma > 2):
         raise ValueError(f"gamma must be finite and > 2, got {value_repr(gamma)}")
-    _check_m("m_max", m_max)
+    require_int("m_max", m_max, 2, REQUEST_COUNT_MAX, step=2)
     k_max = m_max // 2
     f = [0.0] * (k_max + 1)
     f[1] = 1.0
@@ -97,9 +87,8 @@ def theoretical_bound(m: int, epsilon: float) -> float:
     Raises ValueError when the bound exceeds the largest double, as it does
     once f(m) underflows for a huge epsilon.
     """
-    _check_m("m", m)
-    if not (is_finite_real(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and strictly positive, got {value_repr(epsilon)}")
+    require_int("m", m, 2, REQUEST_COUNT_MAX, step=2)
+    require_positive("epsilon", epsilon)
     f_m = eval_f(m, 3.0 + epsilon).value(m)
     bound = 2.0 / f_m if f_m > 0 else math.inf
     if math.isinf(bound):

@@ -33,6 +33,8 @@ from mpmd.metric import (
     MetricSpace,
     TimedPoint,
     is_finite_real,
+    require_int,
+    require_positive,
     value_repr,
 )
 
@@ -42,6 +44,9 @@ DEFAULT_ETA = 1e-6
 # at most REQUEST_COUNT_MAX.  The generators check their counts before they
 # build a request list, so a huge m fails at once.
 LOWER_BOUND_K_MAX = 13
+# Largest index of the gap recurrence: b_i >= 2**(i-1), which is inf as a
+# double beyond it at every epsilon.
+RECURRENCE_INDEX_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -53,28 +58,10 @@ class LowerBoundParams:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self) -> None:
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {value_repr(self.k)}")
-        if self.k > LOWER_BOUND_K_MAX:
-            k = value_repr(self.k)
-            raise ValueError(
-                f"k must be at most {LOWER_BOUND_K_MAX} "
-                f"(2**{LOWER_BOUND_K_MAX} = {2**LOWER_BOUND_K_MAX} requests), "
-                f"got k={k}, which asks for 2**{k} requests"
-            )
-        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(
-                f"epsilon must be finite and strictly positive, got {value_repr(self.epsilon)}"
-            )
-        if not 0 <= self.eta < ETA_MAX:
+        require_int("k", self.k, 1, LOWER_BOUND_K_MAX)
+        require_positive("epsilon", self.epsilon)
+        if not (is_finite_real(self.eta) and 0 <= self.eta < ETA_MAX):
             raise ValueError(f"eta must lie in [0, {ETA_MAX}), got {value_repr(self.eta)}")
-
-
-def _check_request_count(m: int) -> None:
-    if m > REQUEST_COUNT_MAX:
-        raise ValueError(
-            f"m must be at most {REQUEST_COUNT_MAX} requests, got m={value_repr(m)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -85,27 +72,19 @@ class TwoPointRowsParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int or self.m % 4 != 0:
-            raise ValueError(f"m must be an integer multiple of 4, got {value_repr(self.m)}")
-        if self.m < 8:
-            raise ValueError(f"m must be >= 8, got {value_repr(self.m)}")
-        _check_request_count(self.m)
-        if not (is_finite_real(self.delta) and self.delta > 0):
-            raise ValueError(
-                f"delta must be finite and strictly positive, got {value_repr(self.delta)}"
-            )
+        require_int("m", self.m, 8, REQUEST_COUNT_MAX, step=4)
+        require_positive("delta", self.delta)
 
 
 def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
     """(a_i, b_i) of the mutual gap recurrence, evaluated iteratively.
 
     Agrees with the closed form a_i = (2 + 1/(1+eps))**i / (2 eps + 3),
-    b_i = (2 + 1/(1+eps))**(i-1).
+    b_i = (2 + 1/(1+eps))**(i-1).  The index i is an int from 1 to
+    ``RECURRENCE_INDEX_MAX``; a value too large for a double is inf.
     """
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {value_repr(i)}")
-    if not (is_finite_real(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and strictly positive, got {value_repr(epsilon)}")
+    require_int("index", i, 1, RECURRENCE_INDEX_MAX)
+    require_positive("epsilon", epsilon)
     b = 1.0
     a = b / (1.0 + epsilon)
     for _ in range(i - 1):
@@ -115,11 +94,21 @@ def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
 
 
 def recurrence_ab_closed_form(i: int, epsilon: float) -> tuple[float, float]:
-    """Closed-form (a_i, b_i); cross-check for the iterative recurrence."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {value_repr(i)}")
+    """Closed-form (a_i, b_i); cross-check for the iterative recurrence, over
+    the same arguments.  A power that overflows a double is inf, so near the
+    overflow a_i can be inf where the iterative a_i is not."""
+    require_int("index", i, 1, RECURRENCE_INDEX_MAX)
+    require_positive("epsilon", epsilon)
     base = 2.0 + 1.0 / (1.0 + epsilon)
-    return base**i / (2.0 * epsilon + 3.0), base ** (i - 1)
+    return _power(base, i) / (2.0 * epsilon + 3.0), _power(base, i - 1)
+
+
+def _power(base: float, n: int) -> float:
+    """base**n, or inf where a float's ** raises OverflowError."""
+    try:
+        return base**n
+    except OverflowError:
+        return math.inf
 
 
 _CASCADE_POINT = "p0"
@@ -212,11 +201,8 @@ def gen_random(
     instances receive a balanced, seeded shuffle of colors.  The result is a
     pure function of the arguments.
     """
-    if type(m) is not int or m < 0 or m % 2 != 0:
-        raise ValueError(f"m must be an even non-negative integer, got {value_repr(m)}")
-    _check_request_count(m)
-    if not (is_finite_real(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {value_repr(horizon)}")
+    require_int("m", m, 0, REQUEST_COUNT_MAX, step=2)
+    require_positive("horizon", horizon)
     rng = random.Random(seed)
     if metric == LINE:
         space = MetricSpace.line()
@@ -226,11 +212,7 @@ def gen_random(
         draw = lambda: tuple(rng.uniform(0.0, horizon) for _ in range(dim))
     elif metric == FINITE:
         # Checked before the n_points-squared matrix is built.
-        if type(n_points) is not int or not 2 <= n_points <= FINITE_POINTS_MAX:
-            raise ValueError(
-                f"n_points must be an integer from 2 to {FINITE_POINTS_MAX} points, "
-                f"got {value_repr(n_points)}"
-            )
+        require_int("n_points", n_points, 2, FINITE_POINTS_MAX)
         anchors = [
             (rng.uniform(0.0, horizon), rng.uniform(0.0, horizon))
             for _ in range(n_points)

@@ -152,10 +152,7 @@ class MetricSpace:
 
     @classmethod
     def euclidean(cls, dim: int) -> MetricSpace:
-        if type(dim) is not int or not 1 <= dim <= EUCLIDEAN_DIM_MAX:
-            raise ValueError(
-                f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got {value_repr(dim)}"
-            )
+        require_int("dim", dim, 1, EUCLIDEAN_DIM_MAX)
         return cls(kind=EUCLIDEAN, dim=dim)
 
     @classmethod
@@ -227,6 +224,27 @@ def value_repr(value) -> str:
         return f"an int of {value.bit_length():,} bits"
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse a value that is not a finite real > 0, naming the parameter:
+    "epsilon must be finite and strictly positive, got 0.0"."""
+    if not (is_finite_real(value) and value > 0):
+        raise ValueError(f"{name} must be finite and strictly positive, got {value_repr(value)}")
+
+
+def require_int(name: str, value, low: int, high: int | None = None, step: int = 1) -> None:
+    """Refuse a value that is not an int (a bool is not one) from low to
+    high, or from low up when high is None, that is a multiple of step,
+    naming the parameter: "m must be an even integer from 2 to 8192, got 3",
+    "m must be an integer from 8 to 8192 and a multiple of 4, got 6"."""
+    if type(value) is not int or value < low or (high is not None and value > high) or value % step:
+        even = "even " if step == 2 else ""
+        bounds = f">= {low}" if high is None else f"from {low} to {high}"
+        multiple = f" and a multiple of {step}" if step > 2 else ""
+        raise ValueError(
+            f"{name} must be an {even}integer {bounds}{multiple}, got {value_repr(value)}"
+        )
+
+
 def validate_point(space: MetricSpace, p: Point) -> None:
     """Raise ValueError when p is not a valid point of the given space."""
     if space.kind == LINE:
@@ -234,13 +252,16 @@ def validate_point(space: MetricSpace, p: Point) -> None:
             raise ValueError(f"line point must be a finite real number, got {value_repr(p)}")
     elif space.kind == EUCLIDEAN:
         if not isinstance(p, (tuple, list)) or len(p) != space.dim:
-            raise ValueError(
-                f"euclidean point must have {space.dim} coordinates, got {p!r}"
-            )
-        if not all(map(is_finite_real, p)):
-            raise ValueError(f"euclidean coordinates must be finite real numbers, got {p!r}")
+            got = len(p) if isinstance(p, (tuple, list)) else value_repr(p)
+            raise ValueError(f"euclidean point must have {space.dim} coordinates, got {got}")
+        for k, x in enumerate(p):
+            if not is_finite_real(x):
+                raise ValueError(
+                    "euclidean coordinates must be finite real numbers, "
+                    f"got {value_repr(x)} as coordinate {k}"
+                )
     elif p not in space.points:
-        raise ValueError(f"unknown point name {p!r}")
+        raise ValueError(f"unknown point name {value_repr(p)}")
 
 
 def _line_distance(a: Point, b: Point) -> float:

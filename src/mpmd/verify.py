@@ -55,7 +55,7 @@ from mpmd.instances import (
     recurrence_ab,
     recurrence_ab_closed_form,
 )
-from mpmd.metric import augmented_distance, validate_metric, value_repr
+from mpmd.metric import augmented_distance, require_int, validate_metric
 from mpmd.oracle import (
     BRUTE_FORCE_MAX,
     GENERAL_OPT_MAX,
@@ -518,8 +518,8 @@ def check_io_roundtrip(tally: Tally, instances) -> None:
 
 def random_suite(count: int, max_m: int, seed: int = 20240):
     """Deterministic list of (label, instance) pairs for the verify run."""
-    if max_m < 2:
-        raise ValueError(f"max_m must be >= 2, got {value_repr(max_m)}")
+    require_int("count", count, 0)
+    require_int("max_m", max_m, 2)
     metrics = ("line", "euclidean", "finite")
     suite = []
     for idx in range(count):

@@ -239,7 +239,8 @@ class TestInstanceValidation:
         assert Instance(LINE, at_cap).size == REQUEST_COUNT_MAX
         m = REQUEST_COUNT_MAX + 2
         with pytest.raises(
-            ValueError, match=f"request count must be at most {REQUEST_COUNT_MAX}, got m={m}"
+            ValueError,
+            match=f"^request count must be an even integer from 0 to {REQUEST_COUNT_MAX}, got {m}$",
         ):
             Instance(LINE, at_cap + (req(m, 0.0, 0.0), req(m + 1, 0.0, 0.0)))
 

@@ -1,6 +1,7 @@
 """Recurrence table, theoretical bound, ratio reports, and family sweeps."""
 
 import math
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from mpmd.instances import (
     gen_random,
     gen_two_point_rows,
 )
+from mpmd.metric import value_repr
 from mpmd.oracle import opt_general
 from mpmd.verify import check_recurrence_table
 
@@ -69,7 +71,8 @@ class TestEvalF:
         # Refused before the O(m_max^2) loop, as theoretical_bound refuses its
         # m: a float would fail on list repetition, 10**5000 overflow, and
         # 10**7 run for hours.
-        message = rf"^m_max must be an even integer from 2 to {REQUEST_COUNT_MAX}, got m_max="
+        got = re.escape(value_repr(m_max))
+        message = rf"^m_max must be an even integer from 2 to {REQUEST_COUNT_MAX}, got {got}$"
         with pytest.raises(ValueError, match=message):
             eval_f(m_max, 3.0)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import pytest
@@ -12,7 +13,9 @@ import mpmd.instances
 
 from mpmd.engine import HEMISPHERE_BIPARTITE, Policy, simulate
 from mpmd.instances import (
+    ETA_MAX,
     LOWER_BOUND_K_MAX,
+    RECURRENCE_INDEX_MAX,
     REQUEST_COUNT_MAX,
     InstanceFormatError,
     LowerBoundParams,
@@ -29,7 +32,7 @@ from mpmd.instances import (
     recurrence_ab_closed_form,
     save_instance,
 )
-from mpmd.harness import theoretical_bound
+from mpmd.harness import eval_f, theoretical_bound
 from mpmd.metric import (
     EUCLIDEAN_DIM_MAX,
     FINITE_POINTS_MAX,
@@ -37,7 +40,7 @@ from mpmd.metric import (
     validate_metric,
     validate_point,
 )
-from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form
+from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form, random_suite
 
 from helpers import assert_checks_pass
 
@@ -120,7 +123,7 @@ class TestCascadeGenerator:
     def test_k_capped(self):
         assert LowerBoundParams(k=LOWER_BOUND_K_MAX, epsilon=1.0).k == LOWER_BOUND_K_MAX
         k = LOWER_BOUND_K_MAX + 1
-        with pytest.raises(ValueError, match=rf"at most .*got k={k}, which asks for 2\*\*{k} "):
+        with pytest.raises(ValueError, match=f"^k must be an integer from 1 to {k - 1}, got {k}$"):
             LowerBoundParams(k=k, epsilon=1.0)
 
 
@@ -208,7 +211,9 @@ class TestTwoPointRows:
         assert REQUEST_COUNT_MAX == 2**LOWER_BOUND_K_MAX
         assert TwoPointRowsParams(m=REQUEST_COUNT_MAX, delta=0.1).m == REQUEST_COUNT_MAX
         m = REQUEST_COUNT_MAX + 4
-        with pytest.raises(ValueError, match=f"at most {REQUEST_COUNT_MAX} requests, got m={m}"):
+        bounds = f"from 8 to {REQUEST_COUNT_MAX} and a multiple of 4"
+        message = f"^m must be an integer {bounds}, got {m}$"
+        with pytest.raises(ValueError, match=message):
             TwoPointRowsParams(m=m, delta=0.1)
 
 
@@ -245,7 +250,8 @@ class TestGenRandom:
 
     def test_request_count_cap(self):
         m = REQUEST_COUNT_MAX + 2
-        with pytest.raises(ValueError, match=f"at most {REQUEST_COUNT_MAX} requests, got m={m}"):
+        message = f"^m must be an even integer from 0 to {REQUEST_COUNT_MAX}, got {m}$"
+        with pytest.raises(ValueError, match=message):
             gen_random(m, 0)
 
     def test_dimension_cap(self):
@@ -255,7 +261,8 @@ class TestGenRandom:
             gen_random(16, 1, metric="euclidean", dim=200_000)
 
     def test_point_count_cap(self, deadline):
-        with pytest.raises(ValueError, match=f"2 to {FINITE_POINTS_MAX} points, got 100000"):
+        message = f"^n_points must be an integer from 2 to {FINITE_POINTS_MAX}, got 100000$"
+        with pytest.raises(ValueError, match=message):
             gen_random(4, 0, metric="finite", n_points=100_000)
 
 
@@ -309,7 +316,8 @@ class TestFileFormat:
     def test_odd_request_count(self, tmp_path):
         data = self.base()
         data["requests"].pop()
-        with pytest.raises(InstanceFormatError, match="must be even"):
+        message = f"request count must be an even integer from 0 to {REQUEST_COUNT_MAX}, got 1$"
+        with pytest.raises(InstanceFormatError, match=message):
             load_instance(self._write(tmp_path, data))
 
     def test_color_imbalance(self, tmp_path):
@@ -602,28 +610,143 @@ def test_any_json_value_in_any_field_loads_or_is_refused(field, value):
         pass
 
 
-@pytest.mark.parametrize(
-    "make, name",
-    [
-        (lambda: MetricSpace.euclidean(2.0), "dim"),
-        (lambda: MetricSpace.euclidean(True), "dim"),
-        (lambda: LowerBoundParams(k=3.0, epsilon=1.0), "k"),
-        (lambda: TwoPointRowsParams(m=8.0, delta=0.1), "m"),
-        (lambda: gen_random(4.0, 1), "m"),
-        (lambda: gen_random(4, 1, metric="finite", n_points=4.0), "n_points"),
-        (lambda: theoretical_bound(4.0, 1.0), "m"),
-    ],
-    ids=["dim-float", "dim-bool", "k", "rows-m", "random-m", "n_points", "bound-m"],
-)
-def test_integer_parameters_refuse_floats_and_bools(make, name):
-    # Each is refused where it is given, naming the parameter, not by a
-    # TypeError deep inside; a bool dim would write "dim": true, which the
-    # file reader refuses.
-    with pytest.raises(ValueError, match=rf"^{name} must be an (even )?(non-negative )?integer"):
-        make()
-
-
 HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: MetricSpace.euclidean(2.0),
+            f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got 2.0",
+        ),
+        (
+            lambda: MetricSpace.euclidean(True),
+            f"dim must be an integer from 1 to {EUCLIDEAN_DIM_MAX}, got True",
+        ),
+        (
+            lambda: LowerBoundParams(k=3.0, epsilon=1.0),
+            f"k must be an integer from 1 to {LOWER_BOUND_K_MAX}, got 3.0",
+        ),
+        (
+            lambda: TwoPointRowsParams(m=8.0, delta=0.1),
+            f"m must be an integer from 8 to {REQUEST_COUNT_MAX} and a multiple of 4, got 8.0",
+        ),
+        (
+            lambda: gen_random(4.0, 1),
+            f"m must be an even integer from 0 to {REQUEST_COUNT_MAX}, got 4.0",
+        ),
+        (
+            lambda: gen_random(4, 1, metric="finite", n_points=4.0),
+            f"n_points must be an integer from 2 to {FINITE_POINTS_MAX}, got 4.0",
+        ),
+        (
+            lambda: theoretical_bound(4.0, 1.0),
+            f"m must be an even integer from 2 to {REQUEST_COUNT_MAX}, got 4.0",
+        ),
+        (
+            lambda: recurrence_ab(2.5, 1.0),
+            f"index must be an integer from 1 to {RECURRENCE_INDEX_MAX}, got 2.5",
+        ),
+        (
+            lambda: recurrence_ab(True, 1.0),
+            f"index must be an integer from 1 to {RECURRENCE_INDEX_MAX}, got True",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(2.5, 1.0),
+            f"index must be an integer from 1 to {RECURRENCE_INDEX_MAX}, got 2.5",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(True, 1.0),
+            f"index must be an integer from 1 to {RECURRENCE_INDEX_MAX}, got True",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(RECURRENCE_INDEX_MAX + 1, 1.0),
+            f"index must be an integer from 1 to {RECURRENCE_INDEX_MAX}, "
+            f"got {RECURRENCE_INDEX_MAX + 1}",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(2, -1.0),
+            "epsilon must be finite and strictly positive, got -1.0",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(2, math.nan),
+            "epsilon must be finite and strictly positive, got nan",
+        ),
+        (
+            lambda: recurrence_ab_closed_form(2, True),
+            "epsilon must be finite and strictly positive, got True",
+        ),
+        (lambda: eval_f(8, 3.0).value(4.0), "m must be an even integer from 2 to 8, got 4.0"),
+        (lambda: eval_f(8, 3.0).value(True), "m must be an even integer from 2 to 8, got True"),
+        (lambda: random_suite(2.5, 12), "count must be an integer >= 0, got 2.5"),
+        (lambda: random_suite(True, 12), "count must be an integer >= 0, got True"),
+        (lambda: random_suite(3, max_m=3.0), "max_m must be an integer >= 2, got 3.0"),
+        (
+            lambda: LowerBoundParams(k=2, epsilon=1.0, eta=False),
+            f"eta must lie in [0, {ETA_MAX}), got False",
+        ),
+        (
+            lambda: LowerBoundParams(k=2, epsilon=1.0, eta="x"),
+            f"eta must lie in [0, {ETA_MAX}), got 'x'",
+        ),
+        (
+            lambda: LowerBoundParams(k=2, epsilon=1.0, eta=None),
+            f"eta must lie in [0, {ETA_MAX}), got None",
+        ),
+        (
+            lambda: validate_point(MetricSpace.euclidean(2), (0.0, True)),
+            "euclidean coordinates must be finite real numbers, got True as coordinate 1",
+        ),
+        (
+            lambda: validate_point(MetricSpace.euclidean(2), (HUGE,)),
+            "euclidean point must have 2 coordinates, got 1",
+        ),
+        (
+            lambda: validate_point(MetricSpace.euclidean(2), HUGE),
+            "euclidean point must have 2 coordinates, got an int of 16,610 bits",
+        ),
+        (
+            lambda: validate_point(MetricSpace.finite(["A"], [[0.0]]), HUGE),
+            "unknown point name an int of 16,610 bits",
+        ),
+    ],
+    ids=[
+        "dim-float",
+        "dim-bool",
+        "k",
+        "rows-m",
+        "random-m",
+        "n_points",
+        "bound-m",
+        "recurrence-index",
+        "recurrence-index-bool",
+        "closed-form-index",
+        "closed-form-index-bool",
+        "closed-form-index-above-cap",
+        "closed-form-negative-epsilon",
+        "closed-form-nan-epsilon",
+        "closed-form-epsilon-bool",
+        "table-m",
+        "table-m-bool",
+        "suite-count",
+        "suite-count-bool",
+        "suite-max_m",
+        "eta-bool",
+        "eta-str",
+        "eta-none",
+        "coordinate-bool",
+        "coordinate-count",
+        "point-not-a-sequence",
+        "point-name",
+    ],
+)
+def test_integer_parameters_refuse_floats_and_bools(make, message):
+    # Each is refused where it is given, naming the parameter, its range and
+    # the value, not by a TypeError deep inside; a bool dim would write
+    # "dim": true, which the file reader refuses.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize(
@@ -642,6 +765,14 @@ HUGE = 10**5000
         (lambda: gen_random(4, 1, horizon=-HUGE), "horizon"),
         (lambda: gen_random(4, 1, metric="finite", n_points=HUGE), "n_points"),
         (lambda: Policy(HEMISPHERE_BIPARTITE, epsilon=HUGE), "epsilon"),
+        (lambda: recurrence_ab(HUGE, 1.0), "index"),
+        (lambda: recurrence_ab(2, HUGE), "epsilon"),
+        (lambda: recurrence_ab_closed_form(HUGE, 1.0), "index"),
+        (lambda: recurrence_ab_closed_form(2, HUGE), "epsilon"),
+        (lambda: eval_f(8, 3.0).value(HUGE), "m"),
+        (lambda: random_suite(-HUGE, 12), "count"),
+        (lambda: random_suite(3, -HUGE), "max_m"),
+        (lambda: validate_point(MetricSpace.euclidean(2), (HUGE, 0.0)), "euclidean coordinates"),
         (
             lambda: instance_from_dict(
                 {"metric": {"kind": "euclidean", "dim": HUGE}, "requests": []}
@@ -663,11 +794,19 @@ HUGE = 10**5000
         "horizon",
         "n_points",
         "policy-epsilon",
+        "recurrence-index",
+        "recurrence-epsilon",
+        "closed-form-index",
+        "closed-form-epsilon",
+        "table-m",
+        "suite-minus-count",
+        "suite-minus-max_m",
+        "coordinate",
         "file-dim",
     ],
 )
 def test_an_int_of_more_than_4300_digits_is_named_by_its_size(make, field):
     # repr and str refuse such an int, so a message that formats it would
     # raise Python's own "Exceeds the limit" error in place of the field's.
-    with pytest.raises(ValueError, match=rf"^{field} must .*got ({field}=)?an int of 16,610 bits"):
+    with pytest.raises(ValueError, match=rf"^{field} must .*got an int of 16,610 bits"):
         make()

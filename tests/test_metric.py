@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +424,30 @@ def test_validate_metric_finds_the_loops_first_violation(seed):
             assert (violation.kind, violation.indices) == ("triangle", expected)
             found += 1
     assert found > 20
+
+
+# The phrases of the two parameter helpers' messages.  The command line's
+# option parsers, which turn text into usage errors, word their own.
+HELPER_PHRASES = re.compile(r"must be (finite and strictly positive|an (even )?integer)")
+
+
+def test_parameter_messages_are_spelled_only_in_the_helpers():
+    # A range or sign check hand-written outside metric.py would spell one of
+    # these phrases again; every module routes its parameters through
+    # require_positive and require_int instead.
+    for refuse in (
+        lambda: metric_layer.require_positive("x", 0.0),
+        lambda: metric_layer.require_int("x", 0, 1),
+        lambda: metric_layer.require_int("x", 3, 2, 8, step=2),
+        lambda: metric_layer.require_int("x", 6, 8, 16, step=4),
+    ):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert HELPER_PHRASES.search(str(info.value))
+    package = Path(metric_layer.__file__).parent
+    spelled = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "cli.py" and HELPER_PHRASES.search(path.read_text(encoding="utf-8"))
+    )
+    assert spelled == ["metric.py"]

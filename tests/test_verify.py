@@ -27,7 +27,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 @pytest.mark.parametrize("max_m", [0, 1])
 def test_random_suite_rejects_max_m_below_two(max_m):
-    with pytest.raises(ValueError, match="max_m must be >= 2"):
+    with pytest.raises(ValueError, match=f"^max_m must be an integer >= 2, got {max_m}$"):
         random_suite(3, max_m)
 
 
