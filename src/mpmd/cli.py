@@ -26,7 +26,7 @@ from mpmd.instances import (
 )
 from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, is_finite_real
 from mpmd.oracle import opt_bipartite, opt_general
-from mpmd.verify import run_verify
+from mpmd.verify import VERIFY_COUNT_MAX, run_verify
 
 _POLICY_CHOICE = click.Choice(POLICY_KINDS)
 
@@ -298,9 +298,9 @@ def _parse_eps_list(ctx, param, value: str) -> tuple[float, ...]:
 
 
 @main.command("verify")
-@click.option("--count", type=click.IntRange(min=0), default=200, show_default=True,
-              help="Number of seeded random instances.")
-@click.option("--max-m", type=click.IntRange(min=2), default=12, show_default=True)
+@click.option("--count", type=click.IntRange(0, VERIFY_COUNT_MAX), default=200,
+              show_default=True, help="Number of seeded random instances.")
+@click.option("--max-m", type=click.IntRange(2, REQUEST_COUNT_MAX), default=12, show_default=True)
 @click.option("--eps", "eps_list", default="0.1,0.5,1,2", show_default=True,
               callback=_parse_eps_list, help="Comma-separated epsilon values.")
 @click.option("--seed", type=int, default=20240, show_default=True)

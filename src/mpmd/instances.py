@@ -95,12 +95,12 @@ def recurrence_ab(i: int, epsilon: float) -> tuple[float, float]:
 
 def recurrence_ab_closed_form(i: int, epsilon: float) -> tuple[float, float]:
     """Closed-form (a_i, b_i); cross-check for the iterative recurrence, over
-    the same arguments.  A power that overflows a double is inf, so near the
-    overflow a_i can be inf where the iterative a_i is not."""
+    the same arguments.  A power that overflows a double is inf."""
     require_int("index", i, 1, RECURRENCE_INDEX_MAX)
     require_positive("epsilon", epsilon)
     base = 2.0 + 1.0 / (1.0 + epsilon)
-    return _power(base, i) / (2.0 * epsilon + 3.0), _power(base, i - 1)
+    b = _power(base, i - 1)
+    return b * (base / (2.0 * epsilon + 3.0)), b
 
 
 def _power(base: float, n: int) -> float:

@@ -10,8 +10,8 @@ lowest-indexed unmatched request against every candidate.  The sets it
 reaches after k such steps are exactly the (m-2k)-subsets of {k, ..., m-1}
 (see ``opt_general``), C(m-k, k) of them and Fibonacci(m+1) in all (10,946
 at m=20, against 2**19 even-sized subsets).  Each such layer is one table
-of combinations in colex order, and the child a pairing leaves has a
-closed-form colex rank, so a layer is solved by a few numpy operations:
+of combinations in bit-mask order, and the child a pairing leaves is the
+row found by its bit mask, so a layer is solved by a few numpy operations:
 O(m * F(m+1)) work, guarded at 20 requests.  The bipartite solver reduces
 to the assignment problem at any size and solves it with scipy's compiled
 assignment kernel, loaded from its extension file without importing
@@ -36,10 +36,6 @@ from mpmd.metric import MetricSpace, augmented_distance, block_rows, distance, p
 
 GENERAL_OPT_MAX = 20
 BRUTE_FORCE_MAX = 10
-# _BINOM[n, i] = C(n, i), for the colex ranks of ``_layer_tables``.
-_BINOM = np.array(
-    [[math.comb(n, i) for i in range(GENERAL_OPT_MAX + 1)] for n in range(GENERAL_OPT_MAX + 1)]
-)
 
 
 @dataclass(frozen=True)
@@ -133,37 +129,32 @@ def _layer_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(cells, ranks) for each layer k = 0 .. m/2 - 1 of ``opt_general``.
 
     Row r of layer k stands for the r-th (m-2k)-subset {e_0 < e_1 < ...} of
-    {k, ..., m-1} in colex order, that is of rank sum_i C(e_i - k, i + 1).
-    Column q stands for pairing e_0 with the partner e_{q+1}: ``cells[r, q]``
-    is e_0 * m + e_{q+1}, the flat index of that pair's weight, and
-    ``ranks[r, q]`` is the rank in layer k+1 of the set that is left.  Both
-    are read-only int16 arrays, built once per even m; the ten tables up to
-    m=20 take 0.54 MB, 0.36 MB of it at m=20.
+    {k, ..., m-1} in increasing order of its bit mask sum_i 2**e_i, which is
+    colex order.  Column q stands for pairing e_0 with the partner e_{q+1}:
+    ``cells[r, q]`` is e_0 * m + e_{q+1}, the flat index of that pair's
+    weight, and ``ranks[r, q]`` is the row in layer k+1 of the set that is
+    left, found by its bit mask.  Both are read-only int16 arrays, built once
+    per even m; the ten tables up to m=20 take 0.54 MB, 0.36 MB of it at m=20.
     """
     tables = []
-    for k in range(m // 2):
+    next_masks = np.zeros(1, dtype=np.int64)  # the empty set, the last layer
+    for k in reversed(range(m // 2)):
         n = m - 2 * k
-        count = math.comb(m - k, k)
-        # Combinations of the descending range come in reverse colex order,
-        # each one descending; flipping both axes gives colex, ascending.
         sets = np.fromiter(
-            combinations(range(m - 1, k - 1, -1), n), dtype=(np.int16, n), count=count
-        )[::-1, ::-1]
-        low, rest = sets[:, :1], sets[:, 1:]
-        # Dropping rest[:, q] leaves v_i = rest[:, i] - (k + 1) at position i
-        # for i < q and at position i - 1 for i > q.
-        v = rest - (k + 1)
-        col = np.arange(n - 1)
-        kept = _BINOM[v, col + 1]
-        shifted = _BINOM[v, col]
-        ranks = np.cumsum(kept, axis=1) - kept
-        ranks += shifted.sum(axis=1, keepdims=True) - np.cumsum(shifted, axis=1)
-        cells = low * m + rest
+            combinations(range(k, m), n), dtype=(np.int16, n), count=math.comb(m - k, k)
+        )
+        bits = 1 << sets.astype(np.int64)
+        masks = bits.sum(axis=1)
+        order = masks.argsort()
+        sets, bits, masks = sets[order], bits[order], masks[order]
+        ranks = np.searchsorted(next_masks, masks[:, None] - bits[:, :1] - bits[:, 1:])
+        cells = sets[:, :1] * m + sets[:, 1:]
         ranks = ranks.astype(np.int16)
         cells.setflags(write=False)
         ranks.setflags(write=False)
         tables.append((cells, ranks))
-    return tuple(tables)
+        next_masks = masks
+    return tuple(reversed(tables))
 
 
 def opt_general(instance: Instance) -> Matching:
@@ -181,13 +172,14 @@ def opt_general(instance: Instance) -> Matching:
     {k+1, ..., m-1}.  Conversely such a subset T misses k+1 of the m-k-1
     elements of {k+1, ..., m-1}; with j one of them, T u {k, j} is in layer
     k, has lowest element k, and leaves T.  Layer k has C(m-k, k) sets and
-    the layers F(m+1) in all.  Listing each layer in colex order gives the
-    child's index in closed form (``_layer_tables``), so one layer is solved
-    in one set of numpy operations over all its sets and partners at once,
-    from the last layer (the empty set) up: O(m * F(m+1)) work and O(m * C)
-    memory for the largest layer, C = 3,003 at m=20.  ``argmin`` returns the
-    first minimum and the partners run in ascending order, which is the
-    strict-improvement scan, with the same IEEE additions.
+    the layers F(m+1) in all.  Listing each layer in bit-mask order gives
+    the child's index as the row found by its bit mask (``_layer_tables``),
+    so one layer is solved in one set of numpy operations over all its sets
+    and partners at once, from the last layer (the empty set) up:
+    O(m * F(m+1)) work and O(m * C) memory for the largest layer, C = 3,003
+    at m=20.  ``argmin`` returns the first minimum and the partners run in
+    ascending order, which is the strict-improvement scan, with the same
+    IEEE additions.
     """
     requests = sorted(instance.requests, key=lambda r: r.id)
     m = len(requests)

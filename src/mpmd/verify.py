@@ -37,6 +37,7 @@ from mpmd.engine import (
     NOTIME_EARLY,
     NOTIME_LATE,
     NOTIME_MIN,
+    REQUEST_COUNT_MAX,
     Instance,
     Policy,
     RunReport,
@@ -74,6 +75,11 @@ from mpmd.harness import eval_f, theoretical_bound, within_bound
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
 MAX_FAILURE_DETAILS = 5
+# The most instances ``random_suite`` builds, all before the first check.  At
+# max_m=12 a check took about 3 ms (2,000 in 6.1 s on a shared 2-vCPU Xeon VM)
+# and the suite held 2.4 kB an instance, so a run at the cap takes about half
+# a minute and 24 MB.
+VERIFY_COUNT_MAX = 10_000
 
 
 @dataclass
@@ -518,8 +524,8 @@ def check_io_roundtrip(tally: Tally, instances) -> None:
 
 def random_suite(count: int, max_m: int, seed: int = 20240):
     """Deterministic list of (label, instance) pairs for the verify run."""
-    require_int("count", count, 0)
-    require_int("max_m", max_m, 2)
+    require_int("count", count, 0, VERIFY_COUNT_MAX)
+    require_int("max_m", max_m, 2, REQUEST_COUNT_MAX)
     metrics = ("line", "euclidean", "finite")
     suite = []
     for idx in range(count):

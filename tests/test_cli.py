@@ -13,6 +13,7 @@ from mpmd.cli import main
 from mpmd.instances import LOWER_BOUND_K_MAX, REQUEST_COUNT_MAX, gen_random, save_instance
 from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX
 from mpmd.oracle import opt_bipartite
+from mpmd.verify import VERIFY_COUNT_MAX
 
 
 @pytest.fixture
@@ -336,6 +337,16 @@ def assert_usage_error(result, option):
 )
 def test_verify_rejects_bad_options(runner, args, option):
     assert_usage_error(invoke(runner, "verify", *args), option)
+
+
+@pytest.mark.parametrize(
+    "option, cap", [("--count", VERIFY_COUNT_MAX), ("--max-m", REQUEST_COUNT_MAX)]
+)
+def test_verify_refuses_one_past_each_cap(runner, deadline, option, cap):
+    result = invoke(runner, "verify", option, cap + 1)
+    assert result.exit_code == 2
+    assert_usage_error(result, option)
+    assert f"{cap + 1} is not in the range" in result.output
 
 
 def test_gen_lower_bound_rejects_infinite_epsilon(runner, tmp_path):

@@ -334,7 +334,7 @@ def reference_simulate(instance, policy):
                 early, late = sorted((live[i], live[j]), key=lambda r: (r.time, r.id))
                 candidates.append((t, late.id, early.id))
         t0 = min(c[0] for c in candidates)
-        cluster = [c for c in candidates if c[0] <= t0 + 1e-9]
+        cluster = [c for c in candidates if c[0] <= t0 + TIME_TIE_TOL]
         _, late_id, early_id = min(cluster, key=lambda c: (c[1], c[2]))
         pairs.append((min(early_id, late_id), max(early_id, late_id)))
         live = [r for r in live if r.id not in (early_id, late_id)]

@@ -40,7 +40,12 @@ from mpmd.metric import (
     validate_metric,
     validate_point,
 )
-from mpmd.verify import check_lower_bound_family, check_recurrence_closed_form, random_suite
+from mpmd.verify import (
+    VERIFY_COUNT_MAX,
+    check_lower_bound_family,
+    check_recurrence_closed_form,
+    random_suite,
+)
 
 from helpers import assert_checks_pass
 
@@ -67,6 +72,13 @@ class TestRecurrence:
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0])
     def test_closed_form_agreement_to_depth_40(self, eps):
         assert_checks_pass(check_recurrence_closed_form, eps_list=(eps,), i_max=40)
+
+    @pytest.mark.parametrize("i, eps", [(647, 1e-9), (775, 1.0)])
+    def test_closed_form_stays_finite_where_only_base_to_the_i_overflows(self, i, eps):
+        # base**i exceeds the largest double here, a_i and b_i do not.
+        got = recurrence_ab_closed_form(i, eps)
+        assert all(math.isfinite(x) for x in got)
+        assert got == pytest.approx(recurrence_ab(i, eps), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -679,9 +691,26 @@ HUGE = 10**5000
         ),
         (lambda: eval_f(8, 3.0).value(4.0), "m must be an even integer from 2 to 8, got 4.0"),
         (lambda: eval_f(8, 3.0).value(True), "m must be an even integer from 2 to 8, got True"),
-        (lambda: random_suite(2.5, 12), "count must be an integer >= 0, got 2.5"),
-        (lambda: random_suite(True, 12), "count must be an integer >= 0, got True"),
-        (lambda: random_suite(3, max_m=3.0), "max_m must be an integer >= 2, got 3.0"),
+        (
+            lambda: random_suite(2.5, 12),
+            f"count must be an integer from 0 to {VERIFY_COUNT_MAX}, got 2.5",
+        ),
+        (
+            lambda: random_suite(True, 12),
+            f"count must be an integer from 0 to {VERIFY_COUNT_MAX}, got True",
+        ),
+        (
+            lambda: random_suite(3, max_m=3.0),
+            f"max_m must be an integer from 2 to {REQUEST_COUNT_MAX}, got 3.0",
+        ),
+        (
+            lambda: random_suite(VERIFY_COUNT_MAX + 1, 12),
+            f"count must be an integer from 0 to {VERIFY_COUNT_MAX}, got {VERIFY_COUNT_MAX + 1}",
+        ),
+        (
+            lambda: random_suite(3, REQUEST_COUNT_MAX + 1),
+            f"max_m must be an integer from 2 to {REQUEST_COUNT_MAX}, got {REQUEST_COUNT_MAX + 1}",
+        ),
         (
             lambda: LowerBoundParams(k=2, epsilon=1.0, eta=False),
             f"eta must lie in [0, {ETA_MAX}), got False",
@@ -732,6 +761,8 @@ HUGE = 10**5000
         "suite-count",
         "suite-count-bool",
         "suite-max_m",
+        "suite-count-above-cap",
+        "suite-max_m-above-cap",
         "eta-bool",
         "eta-str",
         "eta-none",
@@ -772,6 +803,8 @@ def test_integer_parameters_refuse_floats_and_bools(make, message):
         (lambda: eval_f(8, 3.0).value(HUGE), "m"),
         (lambda: random_suite(-HUGE, 12), "count"),
         (lambda: random_suite(3, -HUGE), "max_m"),
+        (lambda: random_suite(HUGE, 12), "count"),
+        (lambda: random_suite(3, HUGE), "max_m"),
         (lambda: validate_point(MetricSpace.euclidean(2), (HUGE, 0.0)), "euclidean coordinates"),
         (
             lambda: instance_from_dict(
@@ -801,6 +834,8 @@ def test_integer_parameters_refuse_floats_and_bools(make, message):
         "table-m",
         "suite-minus-count",
         "suite-minus-max_m",
+        "suite-count",
+        "suite-max_m",
         "coordinate",
         "file-dim",
     ],

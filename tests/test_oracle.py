@@ -269,6 +269,16 @@ def test_layer_tables_list_colex_sets_and_child_ranks(m):
                 assert row[q] == position[child]
 
 
+@pytest.mark.parametrize("m", range(2, 21, 2))
+def test_layer_tables_are_read_only_contiguous_int16(m):
+    # The cache hands the same arrays to every call, so none may be written;
+    # int16 in C order keeps the DP's per-layer gathers small and sequential.
+    for table in (t for pair in _layer_tables(m) for t in pair):
+        assert table.dtype == np.int16
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+
+
 def _tie_dense_instance(kind, m, seed):
     """Instance whose augmented distances are small integers, so many
     matchings share the optimal weight and the tie rule decides the pairs."""

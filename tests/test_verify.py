@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from mpmd import verify
-from mpmd.engine import HEMISPHERE, HEMISPHERE_BIPARTITE, Instance, Policy, RunReport, simulate
+from mpmd.engine import (
+    HEMISPHERE,
+    HEMISPHERE_BIPARTITE,
+    REQUEST_COUNT_MAX,
+    Instance,
+    Policy,
+    RunReport,
+    simulate,
+)
 from mpmd.instances import gen_random
 from mpmd.oracle import (
     Cycle,
@@ -27,7 +35,9 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 @pytest.mark.parametrize("max_m", [0, 1])
 def test_random_suite_rejects_max_m_below_two(max_m):
-    with pytest.raises(ValueError, match=f"^max_m must be an integer >= 2, got {max_m}$"):
+    with pytest.raises(
+        ValueError, match=f"^max_m must be an integer from 2 to {REQUEST_COUNT_MAX}, got {max_m}$"
+    ):
         random_suite(3, max_m)
 
 
