@@ -27,13 +27,16 @@ arrival, and the batch takes in every request arriving up to that bound; so
 every event that could join the cluster is built before a pair fires.  A
 batch holds at least ``ARRIVAL_BATCH`` requests, and at least as many as are
 pending, so that each batch's new events outnumber the live ones the scan
-sorts again with them.  Of the live events the scan sorts only those up to
-the next arrival, and of more than ``SORT_WINDOW`` of them only the earliest
-``SORT_WINDOW``; the rest wait unsorted in a reserve, which is sorted in
-when the head's tie cluster reaches its bound.  Of all pairs, the
-benchmark's runs (line, plane and a bipartite finite:4 space at m=1024, the
-cascade at k=10 and rows at m=512) built 4 to 29 percent and sorted 0.7 to 6
-percent, counting events sorted again.  An event whose endpoint is already
+sorts again with them.  The built events wait in one pool, and the scan
+sorts only a window of them: those up to the next arrival, and of more than
+``SORT_WINDOW`` of them only the earliest ``SORT_WINDOW``.  The pool is the
+arrays the window was cut from, or the window itself when it took every
+event.  When the next arrival or the window's bound falls inside the head's
+tie cluster, the scan drops the pool's stale events, adds the next batch if
+there is one, and cuts a new window.  Of all pairs, the benchmark's runs
+(line, plane and a bipartite finite:4 space at m=1024, the cascade at k=10
+and rows at m=512) built 4 to 29 percent and sorted 0.6 to 6 percent,
+counting events sorted again.  An event whose endpoint is already
 matched is stale, and both scans skip it one by one.  Each sort of the array
 scan holds only live events, so the scan passes over each sorted event at
 most once and its skips cost no more than the sort.  At the first live event
@@ -57,9 +60,9 @@ per event held (its time and two int32 positions): one hemisphere run in the
 plane peaked at 59 MB of RSS at m=8192, 22 MB over the interpreter.  The
 worst case is still O(m^2): when every request is pending at once, as when
 all arrive at one time, every pair is built in one batch.  Such a run of
-4,096 requests peaked at 361 MB over the interpreter on the line and 321 MB
-in the plane, about 45 and 40 bytes per pair, when the scan joins the
-batch's events to the live ones it already holds.
+4,096 requests peaked at 257 MB over the interpreter on the line and 258 MB
+in the plane, about 32 bytes per pair: the batch's events and their copy
+when the scan joins them to the pool.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -99,9 +102,9 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # it builds: one hemisphere run on the line peaked at 40 MB of RSS at m=8192
 # and one in the plane at 59 MB, but a run in which every request is pending
 # at once builds all m(m-1)/2 pairs: with every request at one time the peak
-# at m=4096 was 361 MB over the interpreter on the line and 321 MB in the
-# plane, about 45 and 40 bytes per pair, which extrapolates to about 1.5 GB
-# at m=8192 and 6 GB at m=16384.
+# at m=4096 was 257 MB over the interpreter on the line and 258 MB in the
+# plane, about 32 bytes per pair, which extrapolates to about 1.1 GB at
+# m=8192 and 4.3 GB at m=16384.
 REQUEST_COUNT_MAX = 8192
 
 # Ids lie strictly between -_ID_END and _ID_END, so have at most 4,300
@@ -133,9 +136,9 @@ BLOCK_EVENTS = 1 << 13
 ARRIVAL_BATCH = 32
 
 # Live events the array scan sorts at once, at most, unless a tie cluster
-# holds more: the rest wait unsorted until the head's tie cluster reaches
-# them.  This bounds the sort of a batch in which many requests are pending,
-# as when every request arrives at one time.
+# holds more: the rest wait unsorted in the pool until the head's tie cluster
+# reaches them.  This bounds the sort of a batch in which many requests are
+# pending, as when every request arrives at one time.
 SORT_WINDOW = 16384
 
 _NO_PAIR_LEFT = "no admissible pair left; perfect matching impossible"
@@ -366,13 +369,15 @@ def _batch_events(
         points, t_members = [loc[k] for k in members.tolist()], t[members]
     times = pair_distances(space, points, early, late)
     # Each block's distances turn into its event times in place, through
-    # temporaries of one block.
-    for block_start in range(0, len(times), BLOCK_EVENTS):
-        block = slice(block_start, block_start + BLOCK_EVENTS)
-        # Fancy indexing is several times faster with intp indices.
-        t_late = t_members[late[block].astype(np.intp)]
-        gap = t_late - t_members[early[block].astype(np.intp)]
-        np.add(_wait(policy, times[block], gap, np.maximum), t_late, out=times[block])
+    # temporaries of one block.  A time may overflow to inf, as the scalar
+    # operations of ``_fire_small`` give it without a warning.
+    with np.errstate(over="ignore"):
+        for block_start in range(0, len(times), BLOCK_EVENTS):
+            block = slice(block_start, block_start + BLOCK_EVENTS)
+            # Fancy indexing is several times faster with intp indices.
+            t_late = t_members[late[block].astype(np.intp)]
+            gap = t_late - t_members[early[block].astype(np.intp)]
+            np.add(_wait(policy, times[block], gap, np.maximum), t_late, out=times[block])
     if not contiguous:
         return times, members[early], members[late]
     if first:
@@ -381,29 +386,26 @@ def _batch_events(
     return times, early, late
 
 
-def _live(times, early, late, matched_np, above: float = -math.inf):
-    """The events whose requests are both unmatched and whose time is above ``above``."""
-    keep = (matched_np[early] | matched_np[late]) == 0
-    if above > -math.inf:
-        keep &= times > above
-    keep = np.flatnonzero(keep)
+def _live(times, early, late, matched_np):
+    """The events whose requests are both unmatched."""
+    keep = np.flatnonzero((matched_np[early] | matched_np[late]) == 0)
     return times[keep], early[keep], late[keep]
 
 
 def _sorted_window(times, early, late, horizon: float):
-    """The events up to a bound, sorted by time, and a reserve.
+    """The events up to a bound, sorted by time, and that bound.
 
     The bound is the later of horizon and the earliest time plus
     ``TIME_TIE_TOL``, so the earliest event's tie cluster is whole; if more
     than ``SORT_WINDOW`` events lie up to it, it falls to the
-    ``SORT_WINDOW``-th smallest time, but not below that cluster bound.  The
-    reserve is None, or the given arrays and the bound: the events above the
-    bound wait there unsorted.  Events of exactly equal times always share a
-    tie cluster, where the id key decides, so their relative order does not
-    matter and an unstable float sort will do; it is several times faster
-    than a stable sort or a lexsort that orders by the id key too.
+    ``SORT_WINDOW``-th smallest time, but not below that cluster bound.  It
+    is returned as inf when no event lies above it.  Events of exactly equal
+    times always share a tie cluster, where the id key decides, so their
+    relative order does not matter and an unstable float sort will do; it
+    is several times faster than a stable sort or a lexsort that orders by
+    the id key too.
     """
-    reserve = None
+    bound = math.inf
     if len(times) and (horizon < math.inf or len(times) > SORT_WINDOW):
         cluster = float(times.min()) + TIME_TIE_TOL
         bound = max(horizon, cluster)
@@ -414,10 +416,11 @@ def _sorted_window(times, early, late, horizon: float):
             del part
             near = np.flatnonzero(times <= bound)
         if near is not None and len(near) < len(times):
-            reserve = (times, early, late, bound)
             times, early, late = times[near], early[near], late[near]
+        else:
+            bound = math.inf
     order = np.argsort(times)
-    return times[order], early[order], late[order], reserve
+    return times[order], early[order], late[order], bound
 
 
 def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tuple:
@@ -490,12 +493,11 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
     rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
     matched = bytearray(m)
     matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
-    # The scanned events, sorted by time: their times and earlier and later positions.
-    times, early, late = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-    # The reserve: chunks (times, early, late, bound) of built events, whose
-    # events above bound wait unsorted; and the smallest bound.
-    reserve: list[tuple] = []
-    lowest = math.inf
+    # The pool: the built events that the scanned window (times, early, late,
+    # sorted by time) was cut from, or the window itself when it took every
+    # event; bound is the window's bound, inf when no event lies above it.
+    pool = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    bound = math.inf
     n = head = arrived = 0
     fired: list[tuple] = []
     while len(fired) * 2 < m:
@@ -505,9 +507,8 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
         # No event fires before its later request arrives, so the events not
         # built yet are later than limit unless the next arrival is not.
         build = arrived < m and t[arrived] <= limit
-        pull = limit > lowest
-        if build or pull:
-            parts = [_live(times[head:], early[head:], late[head:], matched_np)] if head < n else []
+        if build or limit > bound:
+            pool = _live(*pool, matched_np)
             if build:
                 pending = np.flatnonzero(matched_np[:arrived] == 0).astype(np.int32)
                 stop = arrived + max(ARRIVAL_BATCH, len(pending))
@@ -515,19 +516,13 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
                     stop = max(stop, bisect_right(t, limit, arrived))
                 stop = min(stop, m)
                 new = _batch_events(space, policy, loc, t_np, colors, pending, arrived, stop)
-                parts.append(new)
+                pool = tuple(np.concatenate(side) for side in zip(pool, new)) if len(pool[0]) else new
+                del new
                 arrived = stop
-            if pull:
-                parts += [_live(*chunk[:3], matched_np, chunk[3]) for chunk in reserve]
-                reserve, lowest = [], math.inf
-            if len(parts) > 1:
-                parts = [tuple(np.concatenate(side) for side in zip(*parts))]
             horizon = t[arrived] if arrived < m else math.inf
-            times, early, late, rest = _sorted_window(*parts[0], horizon)
-            del parts
-            if rest is not None:
-                reserve.append(rest)
-                lowest = min(lowest, rest[3])
+            times, early, late, bound = _sorted_window(*pool, horizon)
+            if bound == math.inf:
+                pool = times, early, late
             # Element reads through memoryviews are Python numbers, without
             # the cost of numpy scalars or of a list copy of every event.
             time_at, early_at, late_at = memoryview(times), memoryview(early), memoryview(late)

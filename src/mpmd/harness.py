@@ -240,10 +240,8 @@ _FAMILIES = {
 
 
 def reference_matching_weight(family: str, instance: Instance) -> float:
-    """Weight of the family's explicit cheap matching (upper bound on opt).
-
-    A function of its own so that its distance table is freed on return, not
-    kept by ``sweep``'s loop through the next, larger row's run."""
+    """Weight of the family's explicit cheap matching (upper bound on opt),
+    summed in the order of the family's reference pairs."""
     dist = augmented_by_id(instance)
     return sum(dist(p, q) for p, q in _FAMILIES[family].reference_pairs(instance.size))
 

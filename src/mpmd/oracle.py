@@ -117,10 +117,12 @@ def _augmented_matrix(space: MetricSpace, rows, cols=None) -> np.ndarray:
     t_rows, t_cols = t[:n_rows, None], t[None, n_rows:]
     step = block_rows(space, n_cols)
     gap = np.empty((min(step, n_rows), n_cols))
-    for s in range(0, n_rows, step):
-        block = gap[: min(step, n_rows - s)]
-        np.subtract(t_rows[s : s + step], t_cols, out=block)
-        w[s : s + step] += np.abs(block, out=block)
+    # A weight may overflow to inf, as ``augmented_distance`` gives it.
+    with np.errstate(over="ignore"):
+        for s in range(0, n_rows, step):
+            block = gap[: min(step, n_rows - s)]
+            np.subtract(t_rows[s : s + step], t_cols, out=block)
+            w[s : s + step] += np.abs(block, out=block)
     return w
 
 
@@ -195,7 +197,8 @@ def opt_general(instance: Instance) -> Matching:
     choices = []
     for cells, ranks in reversed(tables):
         cand = dp[ranks]
-        cand += w[cells]
+        with np.errstate(over="ignore"):  # a sum may overflow to inf
+            cand += w[cells]
         best = cand.argmin(axis=1)
         dp = cand[np.arange(len(best)), best]
         choices.append(best)
@@ -268,9 +271,10 @@ def brute_force_opt(instance: Instance) -> Matching:
     Enumerates pair lists in lexicographic order (color-crossing only on
     bipartite instances), so strict improvement yields the lexicographically
     smallest optimum.  A branch is cut once its partial weight reaches the
-    best complete weight: weights are non-negative and adding one never
-    lowers a float sum, so a cut branch could not strictly improve.  Guarded
-    at BRUTE_FORCE_MAX requests.
+    best complete weight, once there is one: weights are non-negative and
+    adding one never lowers a float sum, so a cut branch could not strictly
+    improve.  The first complete matching is kept even if it weighs inf, and
+    every valid instance has one.  Guarded at BRUTE_FORCE_MAX requests.
     """
     requests = sorted(instance.requests, key=lambda r: r.id)
     m = len(requests)
@@ -287,7 +291,7 @@ def brute_force_opt(instance: Instance) -> Matching:
 
     def extend(remaining: list[int], acc: list[tuple[int, int]], acc_w: float) -> None:
         nonlocal best_weight, best_pairs
-        if acc_w >= best_weight:
+        if best_pairs is not None and acc_w >= best_weight:
             return
         if not remaining:
             best_weight = acc_w
@@ -303,8 +307,6 @@ def brute_force_opt(instance: Instance) -> Matching:
             acc.pop()
 
     extend(list(range(m)), [], 0.0)
-    if best_pairs is None:
-        raise ValueError("no perfect matching exists under the color constraint")
     return Matching.from_pairs(
         [(requests[i].id, requests[j].id) for i, j in best_pairs], instance
     )

@@ -75,10 +75,10 @@ from mpmd.harness import eval_f, theoretical_bound, within_bound
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
 MAX_FAILURE_DETAILS = 5
-# The most instances ``random_suite`` builds, all before the first check.  At
-# max_m=12 a check took about 3 ms (2,000 in 6.1 s on a shared 2-vCPU Xeon VM)
-# and the suite held 2.4 kB an instance, so a run at the cap takes about half
-# a minute and 24 MB.
+# The most instances ``random_suite`` builds.  It builds them one at a time,
+# so a run holds one instance at once however many it checks; at max_m=12 a
+# check took about 3 ms (2,000 in 6.1 s on a shared 2-vCPU Xeon VM), so a
+# run at the cap takes about half a minute.
 VERIFY_COUNT_MAX = 10_000
 
 
@@ -523,26 +523,22 @@ def check_io_roundtrip(tally: Tally, instances) -> None:
 
 
 def random_suite(count: int, max_m: int, seed: int = 20240):
-    """Deterministic list of (label, instance) pairs for the verify run."""
+    """Deterministic (label, instance) pairs for the verify run, built one at a time.
+
+    ``count`` and ``max_m`` are checked at the call, before the first pair.
+    """
     require_int("count", count, 0, VERIFY_COUNT_MAX)
     require_int("max_m", max_m, 2, REQUEST_COUNT_MAX)
     metrics = ("line", "euclidean", "finite")
-    suite = []
-    for idx in range(count):
-        m = 2 * (1 + (idx % (max_m // 2)))
-        metric = metrics[idx % len(metrics)]
-        bipartite = idx % 3 == 2
-        instance = gen_random(
-            m,
-            seed + idx,
-            metric=metric,
-            dim=2,
-            n_points=4,
-            horizon=10.0,
-            bipartite=bipartite,
-        )
-        suite.append((f"random[{idx}] m={m} {metric}", instance))
-    return suite
+
+    def suite():
+        for idx in range(count):
+            m = 2 * (1 + (idx % (max_m // 2)))
+            metric = metrics[idx % len(metrics)]
+            instance = gen_random(m, seed + idx, metric=metric, bipartite=idx % 3 == 2)
+            yield f"random[{idx}] m={m} {metric}", instance
+
+    return suite()
 
 
 def run_verify(
@@ -554,10 +550,10 @@ def run_verify(
 ) -> list[CheckResult]:
     """Execute the full invariant suite; returns per-check tallies."""
     tally = Tally()
-    suite = random_suite(count, max_m, seed)
-    for label, instance in suite:
+    for label, instance in random_suite(count, max_m, seed):
         verify_instance(tally, instance, eps_list, label)
-    check_io_roundtrip(tally, suite)
+    # A second pass, so that no instance is held beyond its own checks.
+    check_io_roundtrip(tally, random_suite(count, max_m, seed))
     if include_families:
         check_recurrence_table(tally)
         check_recurrence_closed_form(tally)

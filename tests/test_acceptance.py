@@ -54,7 +54,7 @@ def _report_tally(number: int, name: str, tally: Tally) -> None:
 
 def test_criterion_1_cost_scaling_identity():
     """Online cost equals (1 + 2/eps) times offline weight on every hemisphere run."""
-    cases = random_suite(200, 12, seed=31_000)
+    cases = list(random_suite(200, 12, seed=31_000))
     cases += [
         (f"cascade k={k} eps={eps}", gen_lower_bound(LowerBoundParams(k=k, epsilon=eps)))
         for eps in EPS_GRID
@@ -171,7 +171,7 @@ def test_criterion_7_two_point_rows_separation():
 
 def test_criterion_8_structural_invariants():
     """Cycle structure, restriction property, last-pair inequalities, tie rule."""
-    cases = random_suite(200, 12, seed=90_000)
+    cases = list(random_suite(200, 12, seed=90_000))
     # Small bipartite instances disagree with their optimum often enough to
     # exercise the single-cycle color pattern densely.
     for idx in range(120):

@@ -4,16 +4,28 @@ import errno
 import json
 import re
 import time
+import warnings
 from unittest.mock import Mock
 
 import pytest
 from click.testing import CliRunner
 
 from mpmd.cli import main
-from mpmd.instances import LOWER_BOUND_K_MAX, REQUEST_COUNT_MAX, gen_random, save_instance
-from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX
+import mpmd.verify
+from mpmd.instances import (
+    LOWER_BOUND_K_MAX,
+    REQUEST_COUNT_MAX,
+    TwoPointRowsParams,
+    gen_random,
+    gen_two_point_rows,
+    instance_digest,
+    load_instance,
+    save_instance,
+)
+from mpmd.engine import Instance, Request
+from mpmd.metric import EUCLIDEAN_DIM_MAX, FINITE_POINTS_MAX, MetricSpace, TimedPoint
 from mpmd.oracle import opt_bipartite
-from mpmd.verify import VERIFY_COUNT_MAX
+from mpmd.verify import MAX_FAILURE_DETAILS, VERIFY_COUNT_MAX
 
 
 @pytest.fixture
@@ -306,6 +318,54 @@ def test_verify_small_run_passes(runner):
     assert result.exit_code == 0, result.output
     assert "all checks passed" in result.output
     assert "PASS" in result.output
+
+
+def test_verify_reports_each_failure_and_exits_nonzero(runner, monkeypatch):
+    def failing(tally, report, label):
+        tally.check("cost_scaling").record(False, f"{label}: patched to fail")
+
+    monkeypatch.setattr(mpmd.verify, "check_cost_scaling", failing)
+    result = invoke(
+        runner, "verify", "--count", 6, "--max-m", 8, "--eps", "1", "--skip-families"
+    )
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    # Two of the six instances are bipartite and run both hemisphere policies.
+    (row,) = [k for k, line in enumerate(lines) if line.startswith("FAIL ")]
+    assert lines[row].split() == ["FAIL", "cost_scaling", "ok=0", "fail=8"]
+    details = lines[row + 1 : row + 1 + MAX_FAILURE_DETAILS + 1]
+    assert [line.startswith("      random[") for line in details] == [True] * MAX_FAILURE_DETAILS + [False]
+    assert details[0] == "      random[0] m=2 line hemisphere eps=1.0: patched to fail"
+    assert all(line.startswith("PASS ") for line in lines[:row])
+    assert lines[-1].startswith("8 case(s) failed across ")
+
+
+def test_far_apart_requests_run_solve_and_compare_without_warnings(runner, tmp_path):
+    # Distances and time gaps overflow to inf in the engine and the oracle.
+    path = tmp_path / "far.json"
+    instance = Instance(
+        MetricSpace.line(),
+        tuple(
+            Request(k + 1, TimedPoint((-1.0) ** k * 1e308, -8e307 if k < 9 else 8e307))
+            for k in range(18)
+        ),
+    )
+    save_instance(instance, path)
+    policy = ["--policy", "hemisphere", "--epsilon", 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (["run", "-i", path, *policy], ["opt", "-i", path], ["ratio", "-i", path, *policy]):
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, (args[0], result.output, result.exception)
+
+
+def test_gen_appendix_b_writes_the_rows(runner, tmp_path):
+    path = tmp_path / "rows.json"
+    result = invoke(runner, "gen", "appendix-b", "--m", 8, "--delta", 0.25, "-o", path)
+    assert result.exit_code == 0, result.output
+    instance = load_instance(path)
+    assert instance == gen_two_point_rows(TwoPointRowsParams(m=8, delta=0.25))
+    assert result.output == f"wrote {path}: m=8 digest={instance_digest(instance)}\n"
 
 
 def test_missing_instance_file(runner):

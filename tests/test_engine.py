@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,6 +169,11 @@ class TestEventTime:
     def test_epsilon_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="epsilon must be finite"):
             Policy(HEMISPHERE, bad)
+
+    @pytest.mark.parametrize("kind", ["hemi", "Hemisphere", ""])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown policy kind {kind!r}$"):
+            Policy(kind, 1.0)
 
 
 class TestCosts:
@@ -593,9 +599,10 @@ def test_degenerate_times_need_no_warning(case, monkeypatch):
     inst = DEGENERATE_INPUTS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind in _kinds(inst):
-            # epsilon = 4 keeps the overflow case's event times finite.
-            policy = Policy(kind, 4.0)
+        # epsilon = 4 keeps the overflow case's event times finite; at 1 they
+        # overflow to inf in a sum, and at 1e-10 in a quotient.
+        for kind, epsilon in itertools.product(_kinds(inst), (1e-10, 1.0, 4.0)):
+            policy = Policy(kind, epsilon)
             bits = _bits_by_builder(monkeypatch, inst, policy)
             assert bits["tuples"] == bits["arrays"] == bits["batches"], policy
 
@@ -660,19 +667,37 @@ def test_unsorted_events_are_pulled_in_before_they_can_fire(metric, monkeypatch)
     # With windows of 4 events most batches leave events unsorted, and the
     # scan must sort them in before the head's tie cluster reaches them.
     _force(monkeypatch, "batches")
-    pulled = []
-    live = engine._live
+    cut = []
+    window = engine._sorted_window
 
-    def spy(times, early, late, matched_np, above=-math.inf):
-        if above > -math.inf:
-            pulled.append(above)
-        return live(times, early, late, matched_np, above)
+    def spy(times, early, late, horizon):
+        result = window(times, early, late, horizon)
+        if result[3] < math.inf:
+            cut.append(result[3])
+        return result
 
-    monkeypatch.setattr(engine, "_live", spy)
+    monkeypatch.setattr(engine, "_sorted_window", spy)
     for seed in range(3):
         inst = gen_random(24, seed, metric=metric, bipartite=seed == 2)
         _assert_agrees_with_reference(inst, (0.5, 2.0))
-    assert len(pulled) > 10
+    assert len(cut) > 10
+
+
+@pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
+def test_every_request_at_once_peaks_near_two_copies_of_the_events(metric, deadline):
+    # With every request at t=0 one batch builds every pair.  An event takes
+    # 16 bytes, so the peak holds about two copies of all of them: the batch
+    # joined to the pool it is added to.
+    m = 1024
+    inst = gen_random(m, 1, metric=metric)
+    inst = Instance(inst.space, tuple(req(r.id, r.location, 0.0) for r in inst.requests))
+    tracemalloc.start()
+    try:
+        simulate(inst, Policy(HEMISPHERE, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * m * (m - 1) // 2
 
 
 def test_time_outlier_agrees_with_rescan_reference(builder):

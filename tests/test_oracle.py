@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -668,6 +669,54 @@ class TestBruteForce:
         assert matching.pairs == ((1, 2), (3, 4))
         assert matching.weight == 3.0
 
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_every_matching_weighing_inf_keeps_the_first(self, m, bipartite):
+        # Opposite locations are an infinite distance apart, and the two
+        # arrival times an infinite gap, so every pair weighs inf.
+        inst = Instance(
+            LINE,
+            tuple(
+                req(k + 1, (-1.0) ** k * 1e308, -1e308 if k < 2 else 1e308,
+                    k % 2 if bipartite else None)
+                for k in range(m)
+            ),
+            bipartite=bipartite,
+        )
+        matching = brute_force_opt(inst)
+        exact = opt_bipartite(inst) if bipartite else opt_general(inst)
+        assert matching.weight == exact.weight == math.inf
+        assert matching.pairs == exact.pairs
+
+
+# Times +-8e307, whose sums of two gaps overflow: at one place, at 0 and
+# 1e308, whose distance plus a gap overflows, and at +-1e308, whose distances
+# overflow.
+OVERFLOW_INPUTS = {
+    name: Instance(LINE, tuple(req(k + 1, loc(k), -8e307 if k < 4 else 8e307) for k in range(8)))
+    for name, loc in (
+        ("one-place", lambda k: 0.0),
+        ("far", lambda k: k % 2 * 1e308),
+        ("farther", lambda k: (-1.0) ** k * 1e308),
+    )
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_INPUTS))
+def test_overflowing_weights_need_no_warning(case):
+    inst = OVERFLOW_INPUTS[case]
+    colored = Instance(
+        inst.space,
+        tuple(Request(r.id, r.point, k % 2) for k, r in enumerate(inst.requests)),
+        bipartite=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for instance in (inst, colored):
+            matching = brute_force_opt(instance)
+            exact = opt_bipartite(instance) if instance.bipartite else opt_general(instance)
+            assert matching.weight == exact.weight
+
 
 def _pairings(indices):
     """Every perfect matching of ``indices`` as a pair list, in lexicographic order."""
@@ -899,3 +948,10 @@ def test_optimality_lower_bound_on_policies():
         alg = matching_from_records(report.records, inst)
         check_optimality_lower_bound(tally, alg, opt_general(inst), f"seed {seed}")
     assert_all_ok(tally)
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(1, 2), (1, 3)], [(1, 2), (3, 5)], [(1, 2), (3, 4), (3, 4)]])
+def test_from_pairs_refuses_pairs_that_do_not_partition_the_ids(pairs):
+    inst = Instance(LINE, tuple(req(k, float(k), 0.0) for k in range(1, 5)))
+    with pytest.raises(ValueError, match="^pairs do not partition the instance's request ids$"):
+        Matching.from_pairs(pairs, inst)

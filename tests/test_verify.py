@@ -28,7 +28,7 @@ from mpmd.oracle import (
     opt_bipartite,
     opt_general,
 )
-from mpmd.verify import Tally, check_cost_scaling, random_suite, run_verify
+from mpmd.verify import VERIFY_COUNT_MAX, Tally, check_cost_scaling, random_suite, run_verify
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -39,6 +39,19 @@ def test_random_suite_rejects_max_m_below_two(max_m):
         ValueError, match=f"^max_m must be an integer from 2 to {REQUEST_COUNT_MAX}, got {max_m}$"
     ):
         random_suite(3, max_m)
+
+
+def test_random_suite_builds_one_instance_at_a_time(deadline):
+    # At both caps a list of every instance would hold about 41 million
+    # requests; the first of them comes at once.
+    suite = random_suite(VERIFY_COUNT_MAX, REQUEST_COUNT_MAX)
+    label, instance = next(suite)
+    assert label == "random[0] m=2 line" and instance.size == 2
+    assert [label for label, _ in random_suite(4, 4)] == [
+        "random[0] m=2 line", "random[1] m=4 euclidean", "random[2] m=2 finite",
+        "random[3] m=4 line",
+    ]
+    assert list(random_suite(6, 8, seed=5)) == list(random_suite(6, 8, seed=5))
 
 
 def test_small_run_all_green():
