@@ -10,59 +10,65 @@ variants are clamped to it.
 
 A pair's firing time depends on that pair alone, so ``simulate`` computes
 each pair's event once and fires the events in time order.  Two builders
-make the same events, chosen by the request count alone.  Runs of at most
-``SMALL_RUN_MAX`` requests build, sort and scan plain Python tuples (time,
-i, j, d, gap, wait) of every admissible pair: there numpy's fixed cost of
-tens of microseconds per call outweighs its speed, and ``verify`` makes
-thousands of such calls.  Larger runs build numpy arrays of events, and only
-for the pairs that can still fire.  Under every policy a pair's wait is at
-least 0, so a pair never fires before its later request arrives, and a pair
-whose earlier request was matched before that is stale whenever it could
-fire.  The scan therefore builds events batch by batch of arrivals: a
-batch's requests pair with each other and with the requests still unmatched
-when it is built (under ``hemisphere-b`` only across colors).  It builds the
-next batch whenever no live event is left or the head's tie cluster, every
-event up to the earliest live time plus ``TIME_TIE_TOL``, reaches the next
-arrival, and the batch takes in every request arriving up to that bound; so
-every event that could join the cluster is built before a pair fires.  A
-batch holds at least ``ARRIVAL_BATCH`` requests, and at least as many as are
-pending, so that each batch's new events outnumber the live ones the scan
-sorts again with them.  The built events wait in one pool, and the scan
-sorts only a window of them: those up to the next arrival, and of more than
-``SORT_WINDOW`` of them only the earliest ``SORT_WINDOW``.  The pool is the
-arrays the window was cut from, or the window itself when it took every
-event.  When the next arrival or the window's bound falls inside the head's
-tie cluster, the scan drops the pool's stale events, adds the next batch if
-there is one, and cuts a new window.  Of all pairs, the benchmark's runs
-(line, plane and a bipartite finite:4 space at m=1024, the cascade at k=10
-and rows at m=512) built 4 to 29 percent and sorted 0.6 to 6 percent,
-counting events sorted again.  An event whose endpoint is already
-matched is stale, and both scans skip it one by one.  Each sort of the array
-scan holds only live events, so the scan passes over each sorted event at
-most once and its skips cost no more than the sort.  At the first live event
-the scan gathers the tie cluster and fires the live member with the smallest
-id key (later-arrival id, then earlier id); the other members stay in place
-for the next step.  Pairs thus fire in a deterministic order: by event time,
-with times within ``TIME_TIE_TOL`` of the earliest live one ordered by the
-id key, which depends only on which requests are matched, not on how or when
-the events were built and sorted.  The tolerance is absolute, so it means
-less as times grow: near 4.5e6 one ulp of a double is about 1e-9, the
-tolerance itself.  Below 2**24 (about 1.7e7) the head's time plus the
-tolerance still rounds up to the next double, so a cluster can span one ulp
-(1.9e-9 in [2**23, 2**24)); from 2**24 on it holds only exactly equal times.
-Each record, and the offline weight, come from the fired pair's own d, gap
-and wait, computed by the same IEEE operations in both builders, so their
-reports are equal bit for bit.  The array builder takes each pair's distance
-from ``pair_distances`` over the batch's requests and the pending ones, without
-an m-by-m distance matrix, and makes the pair indices arithmetically,
-without an m-by-m mask.  Memory follows the pairs built, at about 16 bytes
-per event held (its time and two int32 positions): one hemisphere run in the
-plane peaked at 59 MB of RSS at m=8192, 22 MB over the interpreter.  The
-worst case is still O(m^2): when every request is pending at once, as when
-all arrive at one time, every pair is built in one batch.  Such a run of
-4,096 requests peaked at 257 MB over the interpreter on the line and 258 MB
-in the plane, about 32 bytes per pair: the batch's events and their copy
-when the scan joins them to the pool.
+feed one scan, chosen by the request count alone.  Runs of at most
+``SMALL_RUN_MAX`` requests build and sort plain Python tuples (time, i, j)
+of every admissible pair: there numpy's fixed cost of tens of microseconds
+per call outweighs its speed, and ``verify`` makes thousands of such calls.
+Such a run enters the scan with every request arrived and every event
+sorted, so it never builds or sorts again.  Larger runs build numpy arrays
+of events, and only for the pairs that can still fire.  Under every policy a
+pair's wait is at least 0, so a pair never fires before its later request
+arrives, and a pair whose earlier request was matched before that is stale
+whenever it could fire.  The scan therefore builds events batch by batch of
+arrivals: a batch's requests pair with each other and with the requests
+still unmatched when it is built (under ``hemisphere-b`` only across
+colors).  It builds the next batch whenever no live event is left or the
+head's tie cluster, every event up to the earliest live time plus
+``TIME_TIE_TOL``, reaches the next arrival, and the batch takes in every
+request arriving up to that bound; so every event that could join the
+cluster is built before a pair fires.  A batch holds at least
+``ARRIVAL_BATCH`` requests, and at least as many as are pending, so that
+each batch's new events outnumber the live ones the scan sorts again with
+them.  The built events wait in one pool, and the scan sorts only a window
+of them: those up to the next arrival, and of more than ``SORT_WINDOW`` of
+them only the earliest ``SORT_WINDOW``.  The pool is the arrays the window
+was cut from, or the window itself when it took every event.  When the next
+arrival or the window's bound falls inside the head's tie cluster, the scan
+drops the pool's stale events, adds the next batch if there is one, and cuts
+a new window.  Of all pairs, the benchmark's runs (line, plane and a
+bipartite finite:4 space at m=1024, the cascade at k=10 and rows at m=512)
+built 4 to 29 percent and sorted 0.6 to 6 percent, counting events sorted
+again.  An event whose endpoint is already matched is stale, and the scan
+skips it one by one.  Each sort of arrays holds only live events, so the
+scan passes over each sorted event at most once and its skips cost no more
+than the sort.  At the first live event the scan gathers the tie cluster and
+fires the live member with the smallest id key (later-arrival id, then
+earlier id); the other members stay in place for the next step.  Pairs thus
+fire in a deterministic order: by event time, with times within
+``TIME_TIE_TOL`` of the earliest live one ordered by the id key, which
+depends only on which requests are matched, not on how or when the events
+were built and sorted.  The tolerance is absolute, so it means less as
+times grow: near 4.5e6 one ulp of a double is about 1e-9, the tolerance
+itself.  Below 2**24 (about 1.7e7) the head's time plus the tolerance still
+rounds up to the next double, so a cluster can span one ulp (1.9e-9 in
+[2**23, 2**24)); from 2**24 on it holds only exactly equal times.  The
+builders compute event times by the same IEEE operations, and ``simulate``
+computes each fired pair's record and offline weight once, by those
+operations too, so the two builders' reports are equal bit for bit.  The
+array builder takes each pair's distance from ``pair_distances`` over the
+batch's requests and the pending ones, without an m-by-m distance matrix,
+and makes the pair indices arithmetically, without an m-by-m mask.  Memory
+follows the pairs built, at about 16 bytes per event held (its time and two
+int32 positions): one hemisphere run in the plane peaked at 59 MB of RSS at
+m=8192, 22 MB over the interpreter.  The worst case is still O(m^2): when
+every request is pending at once, as when all arrive at one time, every pair
+is built in one batch.  Such a run of 4,096 requests peaked at 257 MB over
+the interpreter on the line and 258 MB in the plane, about 32 bytes per
+pair: the batch's events and their copy when the scan joins them to the
+pool.  When every request also sits at one place, every event is in one tie
+cluster, which the window must hold whole: a line run of 512 requests
+peaked at 48.5 bytes per pair (tracemalloc), from the full window's sort and
+the cluster's gathers.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -103,8 +109,10 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # and one in the plane at 59 MB, but a run in which every request is pending
 # at once builds all m(m-1)/2 pairs: with every request at one time the peak
 # at m=4096 was 257 MB over the interpreter on the line and 258 MB in the
-# plane, about 32 bytes per pair, which extrapolates to about 1.1 GB at
-# m=8192 and 4.3 GB at m=16384.
+# plane, about 32 bytes per pair.  With every request also at one place, one
+# tie cluster holds every event, and a line run at m=512 peaked at 48.5
+# bytes per pair.  At m=8192 those extrapolate to about 1.1 and 1.6 GB, and
+# at m=16384 to 4.3 and 6.5 GB.
 REQUEST_COUNT_MAX = 8192
 
 # Ids lie strictly between -_ID_END and _ID_END, so have at most 4,300
@@ -310,11 +318,6 @@ def offline_weight(records, instance: Instance) -> float:
     return total
 
 
-def _check_compatible(instance: Instance, policy: Policy) -> None:
-    if policy.kind == HEMISPHERE_BIPARTITE and not instance.bipartite:
-        raise ValueError("bipartite policy requires a bipartite instance")
-
-
 def _prefix_pairs(late: np.ndarray, counts: np.ndarray, source=None):
     """The int32 pairs (source[k], late[r]) for every r and every k < counts[r].
 
@@ -358,19 +361,11 @@ def _batch_events(
             own = lates[color[lates] == c]
             sides.append(_prefix_pairs(own, np.searchsorted(other, own).astype(np.int32), other))
         early, late = (np.concatenate(side) for side in zip(*sides))
-    first = int(members[0])
-    # Contiguous members, as in a first batch, are sliced and their positions
-    # offset rather than gathered: with every pair in one batch, gathering
-    # would take 8 more bytes per pair at the peak.
-    contiguous = int(members[-1]) - first + 1 == len(members)
-    if contiguous:
-        points, t_members = loc[first : first + len(members)], t[first : first + len(members)]
-    else:
-        points, t_members = [loc[k] for k in members.tolist()], t[members]
-    times = pair_distances(space, points, early, late)
+    t_members = t[members]
+    times = pair_distances(space, [loc[k] for k in members.tolist()], early, late)
     # Each block's distances turn into its event times in place, through
     # temporaries of one block.  A time may overflow to inf, as the scalar
-    # operations of ``_fire_small`` give it without a warning.
+    # operations of ``_small_events`` give it without a warning.
     with np.errstate(over="ignore"):
         for block_start in range(0, len(times), BLOCK_EVENTS):
             block = slice(block_start, block_start + BLOCK_EVENTS)
@@ -378,11 +373,10 @@ def _batch_events(
             t_late = t_members[late[block].astype(np.intp)]
             gap = t_late - t_members[early[block].astype(np.intp)]
             np.add(_wait(policy, times[block], gap, np.maximum), t_late, out=times[block])
-    if not contiguous:
-        return times, members[early], members[late]
-    if first:
-        early += first
-        late += first
+    # Local indices become positions one array at a time, so that only one
+    # index array is copied at once.
+    early = members[early]
+    late = members[late]
     return times, early, late
 
 
@@ -423,83 +417,57 @@ def _sorted_window(times, early, late, horizon: float):
     return times[order], early[order], late[order], bound
 
 
-def _pair_event(policy: Policy, dist, t: list, loc: list, i: int, j: int) -> tuple:
-    """The event (time, i, j, d, gap, wait) of the pair of positions i < j.
+def _small_events(space: MetricSpace, policy: Policy, loc: list, t: list, colors) -> tuple:
+    """Every admissible pair's event of a small run, sorted by time, as Python numbers.
 
-    ``t`` and ``loc`` are the times and locations of the requests in arrival
-    order, so position i is the earlier arrival.  ``_fire_small`` inlines
-    the same operations, which saves a call per pair.
+    Returns the event times and the positions of each event's earlier and
+    later request, as three sequences.  ``colors`` is as in
+    ``_batch_events``, a list here.
     """
-    d = dist(loc[i], loc[j])
-    gap = t[j] - t[i]
-    wait = _wait(policy, d, gap, max)
-    return t[j] + wait, i, j, d, gap, wait
-
-
-def _fire_small(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
-    """The fired events of a small run, built, sorted and scanned as tuples."""
-    m = len(requests)
     dist = distance_kernel(space)
+    events = []
+    for j in range(len(t)):
+        t_late, loc_late = t[j], loc[j]
+        for i in range(j):
+            if colors is not None and colors[i] == colors[j]:
+                continue
+            events.append((t_late + _wait(policy, dist(loc[i], loc_late), t_late - t[i], max), i, j))
+    events.sort()
+    return tuple(zip(*events)) if events else ((), (), ())
+
+
+def _fire(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
+    """The fired pairs of positions (earlier, later), in firing order.
+
+    A run of at most ``SMALL_RUN_MAX`` requests starts the scan with every
+    request arrived and every event built by ``_small_events``, under a
+    window bound of inf, so it never rebuilds; a larger run builds its events
+    batch by batch of arrivals as numpy arrays.
+    """
+    m = len(requests)
     t = [r.time for r in requests]
     loc = [r.location for r in requests]
     bipartite = policy.kind == HEMISPHERE_BIPARTITE
-    color = [r.color for r in requests]
-    events = []
-    for j in range(m):
-        t_late, loc_late, color_late = t[j], loc[j], color[j]
-        for i in range(j):
-            if bipartite and color[i] == color_late:
-                continue
-            d = dist(loc[i], loc_late)
-            gap = t_late - t[i]
-            wait = _wait(policy, d, gap, max)
-            events.append((t_late + wait, i, j, d, gap, wait))
-    events.sort()
-    times = [e[0] for e in events]
     matched = bytearray(m)
-    n = len(events)
-    fired: list[tuple] = []
-    head = 0
-    while len(fired) * 2 < m:
-        while head < n and (matched[events[head][1]] or matched[events[head][2]]):
-            head += 1
-        if head == n:
-            raise ValueError(_NO_PAIR_LEFT)
-        chosen = events[head]
-        end = bisect_right(times, chosen[0] + TIME_TIE_TOL, head + 1)
-        if end > head + 1:
-            # A tie cluster: fire its live member with the smallest id key.
-            chosen = min(
-                (e for e in events[head:end] if not (matched[e[1]] or matched[e[2]])),
-                key=lambda e: (requests[e[2]].id, requests[e[1]].id),
-            )
-        matched[chosen[1]] = matched[chosen[2]] = 1
-        fired.append(chosen)
-    return fired
-
-
-def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
-    """The fired events of a run, built batch by batch of arrivals and scanned as numpy arrays."""
-    m = len(requests)
-    dist = distance_kernel(space)
-    t = [r.time for r in requests]
-    loc = [r.location for r in requests]
-    t_np = np.array(t, dtype=float)
-    colors = None
-    if policy.kind == HEMISPHERE_BIPARTITE:
-        colors = np.array([r.color for r in requests], dtype=np.int8)
-    # Each position's rank in id order stands in for the id in the tie key.
-    rank = np.empty(m, dtype=np.int32)
-    rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
-    matched = bytearray(m)
-    matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
-    # The pool: the built events that the scanned window (times, early, late,
-    # sorted by time) was cut from, or the window itself when it took every
-    # event; bound is the window's bound, inf when no event lies above it.
-    pool = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    # Made at the first tie cluster, which many small runs never reach.
+    rank = None
+    if m <= SMALL_RUN_MAX:
+        time_at, early_at, late_at = _small_events(
+            space, policy, loc, t, [r.color for r in requests] if bipartite else None
+        )
+        n, arrived = len(time_at), m
+    else:
+        t_np = np.array(t, dtype=float)
+        colors = np.array([r.color for r in requests], dtype=np.int8) if bipartite else None
+        matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
+        # The pool: the built events that the window was cut from, or the
+        # window itself when it took every event.
+        pool = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        n = arrived = 0
+    # The window's bound, inf when no built event lies above it.
     bound = math.inf
-    n = head = arrived = 0
-    fired: list[tuple] = []
+    head = 0
+    fired = []
     while len(fired) * 2 < m:
         while head < n and (matched[early_at[head]] or matched[late_at[head]]):
             head += 1
@@ -533,14 +501,19 @@ def _fire_large(requests: tuple[Request, ...], space: MetricSpace, policy: Polic
         chosen = head
         if head + 1 < n and time_at[head + 1] <= limit:
             # A tie cluster: fire its live member with the smallest id key.
-            end = int(np.searchsorted(times, limit, side="right"))
-            seg_early, seg_late = early[head:end], late[head:end]
+            if rank is None:
+                # Each position's rank in id order stands in for the id.
+                rank = np.empty(m, dtype=np.int32)
+                rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
+                matched_np = np.frombuffer(matched, dtype=np.uint8)
+            end = bisect_right(time_at, limit, head + 1)
+            seg_early, seg_late = np.asarray(early_at[head:end]), np.asarray(late_at[head:end])
             live = np.flatnonzero((matched_np[seg_early] | matched_np[seg_late]) == 0)
             key = rank[seg_late[live]].astype(np.int64) * m + rank[seg_early[live]]
             chosen = head + int(live[np.argmin(key)])
         i, j = early_at[chosen], late_at[chosen]
         matched[i] = matched[j] = 1
-        fired.append(_pair_event(policy, dist, t, loc, i, j))
+        fired.append((i, j))
     return fired
 
 
@@ -552,23 +525,19 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
     deterministic event order described in the module docstring.  Each
     record's times and costs are those of its pair's event.
     """
-    _check_compatible(instance, policy)
+    if policy.kind == HEMISPHERE_BIPARTITE and not instance.bipartite:
+        raise ValueError("bipartite policy requires a bipartite instance")
     requests = instance.requests
-    fire = _fire_small if len(requests) <= SMALL_RUN_MAX else _fire_large
+    dist = distance_kernel(instance.space)
     records = []
     weight = 0.0
-    for match_time, i, j, d, gap, wait in fire(requests, instance.space, policy):
+    for i, j in _fire(requests, instance.space, policy):
         # Position i is the earlier arrival, as in every event.
-        records.append(
-            MatchRecord(
-                p=requests[i].id,
-                q=requests[j].id,
-                match_time=match_time,
-                connection=d,
-                delay_p=gap + wait,
-                delay_q=wait,
-            )
-        )
+        early, late = requests[i], requests[j]
+        d = dist(early.location, late.location)
+        gap = late.time - early.time
+        wait = _wait(policy, d, gap, max)
+        records.append(MatchRecord(early.id, late.id, late.time + wait, d, gap + wait, wait))
         weight += d + gap  # the pair's augmented distance, as ``offline_weight`` sums it
     recs = tuple(records)
     return RunReport(

@@ -111,19 +111,24 @@ class RatioReport:
     ratio_online: float
     ratio_offline: float
     bound_2_over_f: float
-    bound_ok: bool
+    bound_ok: bool | None
 
     def to_dict(self) -> dict:
         """The fields in order, with ``policy_kind`` written as "policy"."""
         return {"policy" if k == "policy_kind" else k: v for k, v in asdict(self).items()}
 
 
-def within_bound(weight: float, bound: float, opt_weight: float) -> bool:
+def within_bound(weight: float, bound: float, opt_weight: float) -> bool | None:
     """True when a matching's weight is at most ``bound`` times the optimum's.
 
-    The slack is 1e-9 of the ratio, and never more than 1e-9 absolute.
+    The slack is 1e-9 of the ratio, and never more than 1e-9 absolute.  None
+    when the comparison is NaN, as when the optimum weighs inf: the bound can
+    then be neither met nor broken.
     """
-    return weight - bound * opt_weight <= 1e-9 * min(opt_weight, 1.0)
+    excess = weight - bound * opt_weight
+    if math.isnan(excess):
+        return None
+    return excess <= 1e-9 * min(opt_weight, 1.0)
 
 
 def compute_ratio(instance: Instance, policy: Policy) -> RatioReport:

@@ -367,7 +367,7 @@ def check_recurrence_bound(
     """The run's offline weight is at most 2/f(m) times the optimum, gamma = 3 + eps."""
     bound = theoretical_bound(max(instance.size, 2), report.policy.epsilon)
     tally.check("recurrence_bound").record(
-        within_bound(alg.weight, bound, opt.weight),
+        within_bound(alg.weight, bound, opt.weight) is True,
         f"{label}: offline ratio exceeds 2/f(m)",
     )
 

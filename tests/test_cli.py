@@ -357,6 +357,9 @@ def test_far_apart_requests_run_solve_and_compare_without_warnings(runner, tmp_p
         for args in (["run", "-i", path, *policy], ["opt", "-i", path], ["ratio", "-i", path, *policy]):
             result = invoke(runner, *args)
             assert result.exit_code == 0, (args[0], result.output, result.exception)
+    # Every perfect matching pairs the two locations, so the optimum weighs
+    # inf and the bound can be neither met nor broken.
+    assert '"bound_ok": null' in result.output
 
 
 def test_gen_appendix_b_writes_the_rows(runner, tmp_path):

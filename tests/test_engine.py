@@ -607,6 +607,30 @@ def test_degenerate_times_need_no_warning(case, monkeypatch):
             assert bits["tuples"] == bits["arrays"] == bits["batches"], policy
 
 
+# Tie-dense runs at scale: every request at one place, arriving all at one
+# time or a few ulps apart (times 1 + k * step), so one tie cluster holds
+# every event and the id key alone orders the pairs: (1, 2), (3, 4) and so on.
+def _tie_dense(m, step):
+    return _same_place([1.0 + k * step for k in range(m)])
+
+
+def _id_order_pairs(m):
+    return [(k, k + 1) for k in range(1, m, 2)]
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-16], ids=["equal", "ulps"])
+def test_tie_dense_run_of_256_is_bit_identical_through_each_builder(step, monkeypatch):
+    bits = _bits_by_builder(monkeypatch, _tie_dense(256, step), Policy(HEMISPHERE, 1.0))
+    assert bits["tuples"] == bits["arrays"] == bits["batches"]
+    assert [rec[:2] for rec in bits["arrays"][0]] == _id_order_pairs(256)
+
+
+def test_tie_dense_array_run_of_512(monkeypatch, deadline):
+    _force(monkeypatch, "arrays")
+    pairs = _pairs(simulate(_tie_dense(512, 1e-16), Policy(HEMISPHERE, 1.0)))
+    assert pairs == _id_order_pairs(512)
+
+
 def _spy_batches(monkeypatch):
     """Record (start, stop, pending positions) of every batch the engine builds."""
     built = []

@@ -165,6 +165,11 @@ class TestComputeRatio:
         assert within_bound(0.0, 2.0, 0.0)
         assert not within_bound(1e-300, 2.0, 0.0)
 
+    def test_bound_is_undecided_when_the_optimum_weighs_inf(self):
+        # inf - 2 * inf is NaN: neither a pass nor a failure.
+        assert within_bound(math.inf, 2.0, math.inf) is None
+        assert within_bound(math.inf, 2.0, 1.0) is False
+
 
 class TestSweeps:
     def test_lower_bound_rows_and_exactness(self):

@@ -80,6 +80,12 @@ class TestRecurrence:
         assert all(math.isfinite(x) for x in got)
         assert got == pytest.approx(recurrence_ab(i, eps), rel=1e-12)
 
+    @pytest.mark.parametrize("i, eps", [(RECURRENCE_INDEX_MAX, 1.0), (648, 1e-9)])
+    def test_both_forms_give_inf_where_b_i_overflows(self, i, eps):
+        # The closed form's power raises OverflowError here; it is read as inf.
+        assert recurrence_ab(i, eps) == (math.inf, math.inf)
+        assert recurrence_ab_closed_form(i, eps) == (math.inf, math.inf)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             recurrence_ab(0, 1.0)

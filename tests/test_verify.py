@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -230,6 +231,10 @@ DOCTORED = [
      {"restriction_property": 1}),
     ("alg-weight-inflated", verify.check_recurrence_bound, MONO,
      _with(alg=lambda c: replace(c.alg, weight=100.0 * c.alg.weight)), {"recurrence_bound": 1}),
+    # Both weights inf: the bound is undecided, which the check counts as broken.
+    ("weights-inf", verify.check_recurrence_bound, MONO,
+     _with(alg=lambda c: replace(c.alg, weight=math.inf), opt=lambda c: replace(c.opt, weight=math.inf)),
+     {"recurrence_bound": 1}),
     ("alg-not-the-runs-matching", verify.check_cycles, MONO, _with(alg=lambda c: c.opt),
      {"restriction_property": 1}),
     ("last-value-zeroed", partial(verify.check_recurrence_table, gammas=(3.0,), k_max=8), MONO,
