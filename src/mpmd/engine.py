@@ -79,6 +79,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -183,6 +185,10 @@ class Instance:
     nan``.  ``requests`` is stored sorted by (time, id), whatever order it was
     given in, so two instances that list the same requests in different
     orders are equal, and every consumer may rely on arrival order.
+
+    ``by_id`` and ``weight`` are the one lookup of requests by id: every
+    module reads a request, the id order and the augmented distance of two
+    ids from them.
     """
 
     space: MetricSpace
@@ -231,6 +237,33 @@ class Instance:
     @property
     def size(self) -> int:
         return len(self.requests)
+
+    @cached_property
+    def by_id(self) -> MappingProxyType:
+        """Every request keyed by id, in increasing id order; read-only."""
+        return MappingProxyType({r.id: r for r in sorted(self.requests, key=lambda r: r.id)})
+
+    def weight(self, p: int, q: int) -> float:
+        """Time-augmented distance between the requests of ids p and q.
+
+        Equal bit for bit to ``augmented_distance``, through the unchecked
+        ``distance_kernel``, as the instance checked its points.  An id the
+        instance lacks raises ValueError.
+        """
+        by_id = self.by_id
+        try:
+            a, b = by_id[p].point, by_id[q].point
+        except KeyError as exc:
+            raise ValueError(f"unknown request id {exc.args[0]}") from None
+        return self._distance(a.location, b.location) + abs(a.time - b.time)
+
+    @cached_property
+    def _distance(self) -> Callable[[Point, Point], float]:
+        return distance_kernel(self.space)
+
+    def __getstate__(self) -> dict:
+        """The fields alone; the cached index, which does not pickle, is rebuilt."""
+        return {name: vars(self)[name] for name in ("space", "requests", "bipartite")}
 
 
 @dataclass(frozen=True)
@@ -288,33 +321,11 @@ def online_cost(records) -> float:
     return sum(r.connection + r.delay_p + r.delay_q for r in records)
 
 
-def augmented_by_id(instance: Instance) -> Callable[[int, int], float]:
-    """Time-augmented distance between two of the instance's requests, by id.
-
-    The instance checked its points when it was built, so the spatial part
-    comes from the unchecked ``distance_kernel``; the result equals
-    ``augmented_distance`` bit for bit.  An id the instance lacks raises
-    ValueError.
-    """
-    points = {r.id: r.point for r in instance.requests}
-    dist = distance_kernel(instance.space)
-
-    def weight(p: int, q: int) -> float:
-        try:
-            a, b = points[p], points[q]
-        except KeyError as exc:
-            raise ValueError(f"unknown request id {exc.args[0]}") from None
-        return dist(a.location, b.location) + abs(a.time - b.time)
-
-    return weight
-
-
 def offline_weight(records, instance: Instance) -> float:
     """Total time-augmented weight of the matching the records describe."""
-    weight = augmented_by_id(instance)
     total = 0.0
     for rec in records:
-        total += weight(rec.p, rec.q)
+        total += instance.weight(rec.p, rec.q)
     return total
 
 
@@ -436,7 +447,7 @@ def _small_events(space: MetricSpace, policy: Policy, loc: list, t: list, colors
     return tuple(zip(*events)) if events else ((), (), ())
 
 
-def _fire(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> list[tuple]:
+def _fire(instance: Instance, policy: Policy) -> list[tuple]:
     """The fired pairs of positions (earlier, later), in firing order.
 
     A run of at most ``SMALL_RUN_MAX`` requests starts the scan with every
@@ -444,6 +455,7 @@ def _fire(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> 
     window bound of inf, so it never rebuilds; a larger run builds its events
     batch by batch of arrivals as numpy arrays.
     """
+    requests, space = instance.requests, instance.space
     m = len(requests)
     t = [r.time for r in requests]
     loc = [r.location for r in requests]
@@ -503,8 +515,8 @@ def _fire(requests: tuple[Request, ...], space: MetricSpace, policy: Policy) -> 
             # A tie cluster: fire its live member with the smallest id key.
             if rank is None:
                 # Each position's rank in id order stands in for the id.
-                rank = np.empty(m, dtype=np.int32)
-                rank[sorted(range(m), key=lambda k: requests[k].id)] = np.arange(m, dtype=np.int32)
+                rank_of = dict(zip(instance.by_id, range(m)))
+                rank = np.fromiter((rank_of[r.id] for r in requests), dtype=np.int32, count=m)
                 matched_np = np.frombuffer(matched, dtype=np.uint8)
             end = bisect_right(time_at, limit, head + 1)
             seg_early, seg_late = np.asarray(early_at[head:end]), np.asarray(late_at[head:end])
@@ -531,7 +543,7 @@ def simulate(instance: Instance, policy: Policy) -> RunReport:
     dist = distance_kernel(instance.space)
     records = []
     weight = 0.0
-    for i, j in _fire(requests, instance.space, policy):
+    for i, j in _fire(instance, policy):
         # Position i is the earlier arrival, as in every event.
         early, late = requests[i], requests[j]
         d = dist(early.location, late.location)

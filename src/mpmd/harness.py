@@ -29,7 +29,6 @@ from mpmd.engine import (
     REQUEST_COUNT_MAX,
     Instance,
     Policy,
-    augmented_by_id,
     simulate,
 )
 from mpmd.instances import (
@@ -247,8 +246,7 @@ _FAMILIES = {
 def reference_matching_weight(family: str, instance: Instance) -> float:
     """Weight of the family's explicit cheap matching (upper bound on opt),
     summed in the order of the family's reference pairs."""
-    dist = augmented_by_id(instance)
-    return sum(dist(p, q) for p, q in _FAMILIES[family].reference_pairs(instance.size))
+    return sum(instance.weight(p, q) for p, q in _FAMILIES[family].reference_pairs(instance.size))
 
 
 def sweep(

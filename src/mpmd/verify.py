@@ -56,7 +56,7 @@ from mpmd.instances import (
     recurrence_ab,
     recurrence_ab_closed_form,
 )
-from mpmd.metric import augmented_distance, require_int, validate_metric
+from mpmd.metric import require_int, validate_metric
 from mpmd.oracle import (
     BRUTE_FORCE_MAX,
     GENERAL_OPT_MAX,
@@ -129,13 +129,12 @@ def _rel_close(value: float, reference: float, rel: float = REL_TOL) -> bool:
 
 def check_run_basics(tally: Tally, instance: Instance, report: RunReport, label: str) -> None:
     """Perfect-matching cover, feasibility, delays, and determinism of a run."""
-    ids = sorted(r.id for r in instance.requests)
+    by_id = instance.by_id
     covered = sorted(i for rec in report.records for i in (rec.p, rec.q))
     tally.check("perfect_matching").record(
-        covered == ids and len(report.records) * 2 == len(ids),
+        covered == list(by_id) and len(report.records) * 2 == len(by_id),
         f"{label}: records do not cover ids exactly once",
     )
-    by_id = {r.id: r for r in instance.requests}
     feasible = all(
         rec.match_time >= max(by_id[rec.p].time, by_id[rec.q].time) - ABS_TOL
         and rec.delay_p >= -ABS_TOL
@@ -162,12 +161,8 @@ def check_cost_scaling(tally: Tally, report: RunReport, label: str) -> None:
 
 def _last_two_oriented(instance: Instance, report: RunReport):
     """((a, b), (c, d)) requests of the last two records, each earlier-first."""
-    by_id = {r.id: r for r in instance.requests}
-    second_last, last = report.records[-2], report.records[-1]
-    return (
-        (by_id[second_last.p], by_id[second_last.q]),
-        (by_id[last.p], by_id[last.q]),
-    )
+    by_id = instance.by_id
+    return tuple((by_id[rec.p], by_id[rec.q]) for rec in report.records[-2:])
 
 
 def check_last_pair_inequality(
@@ -183,14 +178,10 @@ def check_last_pair_inequality(
         return
     eps = report.policy.epsilon
     (a, b), (c, d) = _last_two_oriented(instance, report)
-    d_ab = augmented_distance(instance.space, a.point, b.point)
-    space = instance.space
+    weight = instance.weight
+    d_ab = weight(a.id, b.id)
     if report.policy.kind == HEMISPHERE:
-        cross = min(
-            augmented_distance(space, x.point, y.point)
-            for x in (a, b)
-            for y in (c, d)
-        )
+        cross = min(weight(x.id, y.id) for x in (a, b) for y in (c, d))
         tally.check("last_pair_inequality").record(
             d_ab <= (1.0 + eps) * cross + ABS_TOL,
             f"{label}: D(a,b)={d_ab!r} vs (1+eps)*min cross={(1.0 + eps) * cross!r}",
@@ -199,9 +190,8 @@ def check_last_pair_inequality(
         if c.color == a.color:
             c, d = d, c
         ok = (
-            d_ab <= (1.0 + eps) * augmented_distance(space, a.point, c.point) + ABS_TOL
-            and d_ab
-            <= (1.0 + eps) * augmented_distance(space, b.point, d.point) + ABS_TOL
+            d_ab <= (1.0 + eps) * weight(a.id, c.id) + ABS_TOL
+            and d_ab <= (1.0 + eps) * weight(b.id, d.id) + ABS_TOL
         )
         tally.check("bipartite_last_pair_inequality").record(
             ok, f"{label}: bipartite last-pair inequality violated"
@@ -217,7 +207,7 @@ def check_decomposition(
     label: str,
 ) -> None:
     """Structural validity of the alternating-cycle decomposition."""
-    ids = sorted(r.id for r in instance.requests)
+    ids = list(instance.by_id)
     seen = sorted(v for cycle in cycles for v in cycle.vertices)
     alg_pairs, opt_pairs = set(alg.pairs), set(opt.pairs)
     alternating = all(
@@ -251,7 +241,7 @@ def check_bipartite_colors(
     label: str,
 ) -> None:
     """Optimal bipartite edges cross colors and cycle colors alternate."""
-    by_id = {r.id: r for r in instance.requests}
+    by_id = instance.by_id
     crossing = all(by_id[p].color != by_id[q].color for p, q in opt.pairs)
     tally.check("bipartite_opt_crossing").record(
         crossing, f"{label}: an optimal edge joins equal colors"

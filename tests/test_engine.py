@@ -1,9 +1,12 @@
 """Simulation engine: firing rules, event ordering, costs, and run invariants."""
 
+import ast
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -958,3 +961,36 @@ def test_simulate_commutes_with_relabel_and_request_order(
         assert moved.online_cost.hex() == base.online_cost.hex()
         assert moved.offline_weight.hex() == base.offline_weight.hex()
         assert simulate(shuffled, policy) == base
+
+
+# The spellings of a by-id index rebuilt outside ``Instance``: a dict keyed by
+# request id, a sort keyed by id, and a sorted list of ids.
+ID_INDEX_SPELLINGS = re.compile(
+    r"\{\w+\.id: |key=lambda \w+: [\w\[\]]+\.id\b|sorted\(\w+\.id\b"
+)
+
+
+def test_only_instance_indexes_requests_by_id():
+    # Every module reads requests by id through Instance.by_id and
+    # Instance.weight; an index built anywhere else would spell one of these.
+    for spelled in (
+        "{r.id: r for r in instance.requests}",
+        "sorted(instance.requests, key=lambda r: r.id)",
+        "sorted(range(m), key=lambda k: requests[k].id)",
+        "sorted(r.id for r in instance.requests)",
+    ):
+        assert ID_INDEX_SPELLINGS.search(spelled)
+    assert not ID_INDEX_SPELLINGS.search("sorted(requests, key=lambda r: (r.time, r.id))")
+    package = Path(engine.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        found[path.name] = [k for k, line in enumerate(lines, 1) if ID_INDEX_SPELLINGS.search(line)]
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    (owner,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Instance"
+    ]
+    inside = range(owner.lineno, owner.end_lineno + 1)
+    in_engine = found.pop("engine.py")
+    assert in_engine and all(k in inside for k in in_engine)
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,7 +1,9 @@
 """Offline optima, brute-force cross checks, cycles, and the restriction property."""
 
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -20,7 +22,6 @@ from mpmd.engine import (
     Instance,
     Policy,
     Request,
-    augmented_by_id,
     offline_weight,
     simulate,
 )
@@ -447,10 +448,9 @@ def test_matching_weights_sum_augmented_distance_in_each_callers_order(metric):
     def aug(p, q):
         return augmented_distance(inst.space, points[p], points[q])
 
-    dist = augmented_by_id(inst)
     for p in points:
         for q in points:
-            assert dist(p, q).hex() == aug(p, q).hex()
+            assert inst.weight(p, q).hex() == aug(p, q).hex()
 
     report = simulate(inst, Policy(HEMISPHERE, 1.0))
     total = 0.0
@@ -482,10 +482,9 @@ def test_sweep_divides_beyond_the_guard_by_the_consecutive_pairs_weight():
     assert (row.m, row.opt_exact) == (32, False)
     inst = gen_lower_bound(LowerBoundParams(k=5, epsilon=1.0))
     report = simulate(inst, Policy(HEMISPHERE, 1.0))
-    dist = augmented_by_id(inst)
     total = 0.0
     for p in range(1, 32, 2):
-        total += dist(p, p + 1)
+        total += inst.weight(p, p + 1)
     assert row.ratio_online.hex() == (report.online_cost / total).hex()
     assert row.ratio_offline.hex() == (report.offline_weight / total).hex()
 
@@ -499,11 +498,43 @@ def test_every_oracle_matches_an_empty_instance_with_nothing(oracle, bipartite):
     assert oracle(Instance(LINE, (), bipartite=bipartite)) == Matching(pairs=(), weight=0.0)
 
 
-def test_augmented_by_id_names_an_unknown_id():
+def test_instance_weight_names_an_unknown_id():
     inst = gen_random(4, 2, metric="line")
-    dist = augmented_by_id(inst)
     with pytest.raises(ValueError, match="unknown request id 99"):
-        dist(1, 99)
+        inst.weight(1, 99)
+    with pytest.raises(ValueError, match="unknown request id 99"):
+        inst.weight(99, 1)
+
+
+def test_by_id_lists_requests_in_id_order_not_arrival_order():
+    inst = Instance(LINE, (req(7, 0.0, 0.0), req(2, 1.0, 1.0), req(5, 2.0, 2.0), req(0, 3.0, 3.0)))
+    assert [r.id for r in inst.requests] == [7, 2, 5, 0]
+    assert list(inst.by_id) == [0, 2, 5, 7]
+    assert all(inst.by_id[r.id] is r for r in inst.requests)
+
+
+def test_by_id_is_equal_for_requests_listed_in_any_order():
+    inst = gen_random(12, 5, metric="euclidean")
+    reordered = Instance(inst.space, tuple(reversed(inst.requests)))
+    assert reordered == inst
+    assert list(reordered.by_id.items()) == list(inst.by_id.items())
+
+
+def test_by_id_is_read_only():
+    inst = gen_random(4, 2, metric="line")
+    with pytest.raises(TypeError):
+        inst.by_id[99] = inst.requests[0]
+    with pytest.raises(TypeError):
+        del inst.by_id[inst.requests[0].id]
+    assert inst.size == len(inst.by_id) == 4
+
+
+def test_an_indexed_instance_pickles_and_copies():
+    inst = gen_random(6, 3, metric="finite", bipartite=True)
+    assert inst.by_id
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert twin == inst
+        assert list(twin.by_id.items()) == list(inst.by_id.items())
 
 
 class TestOptBipartite:
