@@ -20,26 +20,28 @@ of events, and only for the pairs that can still fire.  Under every policy a
 pair's wait is at least 0, so a pair never fires before its later request
 arrives, and a pair whose earlier request was matched before that is stale
 whenever it could fire.  The scan therefore builds events batch by batch of
-arrivals: a batch's requests pair with each other and with the requests
+arrivals: a batch builds every pair among its own requests and the requests
 still unmatched when it is built (under ``hemisphere-b`` only across
-colors).  It builds the next batch whenever no live event is left or the
-head's tie cluster, every event up to the earliest live time plus
-``TIME_TIE_TOL``, reaches the next arrival, and the batch takes in every
-request arriving up to that bound; so every event that could join the
+colors).  Every live event pairs two such requests, so the batch's events
+replace all those built before.  It builds the next batch whenever no live
+event is left or the head's tie cluster, every event up to the earliest live
+time plus ``TIME_TIE_TOL``, reaches the next arrival, and the batch takes in
+every request arriving up to that bound; so every event that could join the
 cluster is built before a pair fires.  A batch holds at least
 ``ARRIVAL_BATCH`` requests, and at least as many as are pending, so that
-each batch's new events outnumber the live ones the scan sorts again with
-them.  The built events wait in one pool, and the scan sorts only a window
-of them: those up to the next arrival, and of more than ``SORT_WINDOW`` of
-them only the earliest ``SORT_WINDOW``.  The pool is the arrays the window
-was cut from, or the window itself when it took every event.  When the next
-arrival or the window's bound falls inside the head's tie cluster, the scan
-drops the pool's stale events, adds the next batch if there is one, and cuts
-a new window.  Of all pairs, the benchmark's runs (line, plane and a
-bipartite finite:4 space at m=1024, the cascade at k=10 and rows at m=512)
-built 4 to 29 percent and sorted 0.6 to 6 percent, counting events sorted
-again.  An event whose endpoint is already matched is stale, and the scan
-skips it one by one.  Each sort of arrays holds only live events, so the
+the pairs it builds again, of two pending requests, are at most a quarter of
+its events.  The built events wait in one pool, and the scan sorts only a
+window of them: those up to the next arrival, and of more than
+``SORT_WINDOW`` of them only the earliest ``SORT_WINDOW``.  The pool is the
+arrays the window was cut from, or the window itself when it took every
+event.  When the next arrival falls inside the head's tie cluster, the next
+batch replaces the pool; when the window's bound does, the scan drops the
+pool's stale events; either way it cuts a new window.  Of all pairs, the
+benchmark's runs (line, plane and a bipartite finite:4 space at m=1024, the
+cascade at k=10 and rows at m=512) built 3.6 to 39 percent, counting pairs
+built again, and sorted 0.6 to 6 percent, counting events sorted again.
+An event whose endpoint is already matched is stale, and the scan skips it
+one by one.  Each sort of arrays holds only live events, so the
 scan passes over each sorted event at most once and its skips cost no more
 than the sort.  At the first live event the scan gathers the tie cluster and
 fires the live member with the smallest id key (later-arrival id, then
@@ -62,13 +64,14 @@ follows the pairs built, at about 16 bytes per event held (its time and two
 int32 positions): one hemisphere run in the plane peaked at 59 MB of RSS at
 m=8192, 22 MB over the interpreter.  The worst case is still O(m^2): when
 every request is pending at once, as when all arrive at one time, every pair
-is built in one batch.  Such a run of 4,096 requests peaked at 257 MB over
-the interpreter on the line and 258 MB in the plane, about 32 bytes per
-pair: the batch's events and their copy when the scan joins them to the
-pool.  When every request also sits at one place, every event is in one tie
-cluster, which the window must hold whole: a line run of 512 requests
-peaked at 48.5 bytes per pair (tracemalloc), from the full window's sort and
-the cluster's gathers.
+is built in one batch.  Such a run of 1,024 requests peaked at 24 bytes per
+pair on the line and in the plane (tracemalloc): the events and the window
+partition's copy of their times.  At 4,096 requests it peaked at 225 MB of
+RSS over the interpreter, 28 bytes per pair, as glibc's malloc keeps one
+freed int32 array of just under 32 MiB.  When every request also sits at one
+place, every event is in one tie cluster, which the window must hold whole:
+a line run of 512 requests peaked at 48.5 bytes per pair (tracemalloc), from
+the full window's sort and the cluster's gathers.
 
 The requests come in the arrival order that ``Instance`` keeps, so of two
 positions the lower is the earlier arrival.
@@ -110,11 +113,11 @@ POLICY_KINDS = (HEMISPHERE, HEMISPHERE_BIPARTITE, NOTIME_MIN, NOTIME_LATE, NOTIM
 # it builds: one hemisphere run on the line peaked at 40 MB of RSS at m=8192
 # and one in the plane at 59 MB, but a run in which every request is pending
 # at once builds all m(m-1)/2 pairs: with every request at one time the peak
-# at m=4096 was 257 MB over the interpreter on the line and 258 MB in the
-# plane, about 32 bytes per pair.  With every request also at one place, one
-# tie cluster holds every event, and a line run at m=512 peaked at 48.5
-# bytes per pair.  At m=8192 those extrapolate to about 1.1 and 1.6 GB, and
-# at m=16384 to 4.3 and 6.5 GB.
+# was 24 bytes per pair at m=1024 (tracemalloc), and at m=4096 225 MB of RSS
+# over the interpreter on the line and in the plane, 28 bytes per pair.  With
+# every request also at one place, one tie cluster holds every event, and a
+# line run at m=512 peaked at 48.5 bytes per pair.  At m=8192 those
+# extrapolate to about 0.8 and 1.6 GB, and at m=16384 to 3.2 and 6.5 GB.
 REQUEST_COUNT_MAX = 8192
 
 # Ids lie strictly between -_ID_END and _ID_END, so have at most 4,300
@@ -139,7 +142,7 @@ BLOCK_EVENTS = 1 << 13
 
 # Requests per arrival batch of the array scan, at least.  A batch also
 # takes at least as many requests as are pending when it is built, so that
-# its new events outnumber the live ones sorted again with them: on a line
+# its new events outnumber the live ones built again with them: on a line
 # run of m=1024 whose distances span 100 times its arrival horizon, with
 # about 300 requests pending, batches of 32 alone took 26 batches and 43 to
 # 54 ms, and this rule 5 batches and 37 to 38 ms (2-vCPU Xeon VM).
@@ -148,7 +151,11 @@ ARRIVAL_BATCH = 32
 # Live events the array scan sorts at once, at most, unless a tie cluster
 # holds more: the rest wait unsorted in the pool until the head's tie cluster
 # reaches them.  This bounds the sort of a batch in which many requests are
-# pending, as when every request arrives at one time.
+# pending, as when every request arrives at one time; no window of the
+# benchmark's largest runs holds more.  With every request at t=0 and
+# m=4096 (2-vCPU Xeon VM), a line run took 0.47-0.54 s and peaked at 261 MB
+# of RSS, against 2.3-2.9 s and 357 MB with every window sorted whole, and
+# a plane run 0.79-0.80 s and 262 MB, against 2.6-3.0 s and 358 MB.
 SORT_WINDOW = 16384
 
 _NO_PAIR_LEFT = "no admissible pair left; perfect matching impossible"
@@ -343,33 +350,26 @@ def _prefix_pairs(late: np.ndarray, counts: np.ndarray, source=None):
     return early, np.repeat(late, counts)
 
 
-def _batch_events(
-    space: MetricSpace, policy: Policy, loc: list, t: np.ndarray, colors, pending, start: int, stop: int
-):
-    """The events of the pairs whose later request is one of positions start..stop-1.
+def _batch_events(space: MetricSpace, policy: Policy, loc: list, t: np.ndarray, colors, members):
+    """The events of every pair of the positions ``members``, increasing, as int32.
 
-    Each of these requests pairs with every earlier one among ``pending``
-    (the unmatched positions before start, increasing, as int32) and the
-    batch itself; under ``hemisphere-b`` only with those of the other color
-    (``colors`` holds each position's color, and is None for the other
-    policies).  ``loc`` and ``t`` give every position's location and time.
-    Returns the event times and the int32 positions of each event's earlier
-    and later request, in no particular order.
+    Under ``hemisphere-b`` only pairs of the two colors are built (``colors``
+    holds each position's color, and is None for the other policies).
+    ``loc`` and ``t`` give every position's location and time.  Returns the
+    event times and the int32 positions of each event's earlier and later
+    request, in no particular order.
     """
-    members = np.arange(start, stop, dtype=np.int32)
-    if len(pending):
-        members = np.concatenate((pending, members))
     # Pairs are made as indices into members, whose locations and times are
     # gathered once, so the work follows the pairs built, not the run.
-    lates = np.arange(len(pending), len(members), dtype=np.int32)
     if colors is None:
-        early, late = _prefix_pairs(lates, lates)
+        local = np.arange(len(members), dtype=np.int32)
+        early, late = _prefix_pairs(local, local)
     else:
         color = colors[members]
         sides = []
         for c in (0, 1):
             other = np.flatnonzero(color != c).astype(np.int32)
-            own = lates[color[lates] == c]
+            own = np.flatnonzero(color == c).astype(np.int32)
             sides.append(_prefix_pairs(own, np.searchsorted(other, own).astype(np.int32), other))
         early, late = (np.concatenate(side) for side in zip(*sides))
     t_members = t[members]
@@ -472,9 +472,6 @@ def _fire(instance: Instance, policy: Policy) -> list[tuple]:
         t_np = np.array(t, dtype=float)
         colors = np.array([r.color for r in requests], dtype=np.int8) if bipartite else None
         matched_np = np.frombuffer(matched, dtype=np.uint8)  # a view of the same bytes
-        # The pool: the built events that the window was cut from, or the
-        # window itself when it took every event.
-        pool = np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
         n = arrived = 0
     # The window's bound, inf when no built event lies above it.
     bound = math.inf
@@ -488,17 +485,21 @@ def _fire(instance: Instance, policy: Policy) -> list[tuple]:
         # built yet are later than limit unless the next arrival is not.
         build = arrived < m and t[arrived] <= limit
         if build or limit > bound:
-            pool = _live(*pool, matched_np)
             if build:
-                pending = np.flatnonzero(matched_np[:arrived] == 0).astype(np.int32)
-                stop = arrived + max(ARRIVAL_BATCH, len(pending))
+                # Every live event pairs two pending requests, so the batch
+                # builds them again with its own: it replaces the pool.
+                stop = arrived + max(ARRIVAL_BATCH, arrived - 2 * len(fired))
                 if limit < math.inf:
                     stop = max(stop, bisect_right(t, limit, arrived))
                 stop = min(stop, m)
-                new = _batch_events(space, policy, loc, t_np, colors, pending, arrived, stop)
-                pool = tuple(np.concatenate(side) for side in zip(pool, new)) if len(pool[0]) else new
-                del new
+                # Positions from arrived on are unmatched: the batch itself.
+                members = np.flatnonzero(matched_np[:stop] == 0).astype(np.int32)
+                pool = _batch_events(space, policy, loc, t_np, colors, members)
                 arrived = stop
+            else:
+                # The pool: the built events that the window was cut from,
+                # or the window itself when it took every event.
+                pool = _live(*pool, matched_np)
             horizon = t[arrived] if arrived < m else math.inf
             times, early, late, bound = _sorted_window(*pool, horizon)
             if bound == math.inf:

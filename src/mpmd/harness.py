@@ -62,7 +62,13 @@ class FTable:
 def eval_f(m_max: int, gamma: float) -> FTable:
     """Exact dynamic-programming evaluation of the recurrence up to m_max,
     an even int from 2 to ``REQUEST_COUNT_MAX``, the largest instance, since
-    the table costs O(m^2) time."""
+    the table costs O(m^2) time.
+
+    Each step takes the recurrence's minimum over half the splits, bit for
+    bit: f is non-increasing by the recurrence itself, so the least f(2i)
+    is the previous value; the split sum is symmetric in i and k - i; and
+    dividing by gamma > 0 keeps the minimum.
+    """
     if not (is_finite_real(gamma) and gamma > 2):
         raise ValueError(f"gamma must be finite and > 2, got {value_repr(gamma)}")
     require_int("m_max", m_max, 2, REQUEST_COUNT_MAX, step=2)
@@ -70,12 +76,7 @@ def eval_f(m_max: int, gamma: float) -> FTable:
     f = [0.0] * (k_max + 1)
     f[1] = 1.0
     for k in range(2, k_max + 1):
-        best = math.inf
-        for i in range(1, k):
-            candidate = min(f[i], (f[i] + f[k - i]) / gamma)
-            if candidate < best:
-                best = candidate
-        f[k] = best
+        f[k] = min(f[k - 1], min(f[i] + f[k - i] for i in range(1, k // 2 + 1)) / gamma)
     return FTable(gamma=gamma, values=tuple(f[1:]))
 
 

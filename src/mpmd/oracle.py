@@ -379,23 +379,15 @@ def cycle_decompose(a: Matching, b: Matching, instance: Instance) -> tuple[Cycle
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class RestrictionCounterexample:
-    """Cycle whose isolated re-simulation disagrees with the full run."""
-
-    cycle_index: int
-    expected: tuple[tuple[int, int], ...]
-    actual: tuple[tuple[int, int], ...]
-
-
 def restriction_check(
     instance: Instance, report: RunReport, cycles: tuple[Cycle, ...]
-) -> RestrictionCounterexample | None:
+) -> str | None:
     """Re-simulate the policy on each cycle's requests and compare edge sets.
 
     The policy run on the sub-instance induced by a cycle should reproduce
     exactly the edges the full run placed inside that cycle.  Returns None
-    when every cycle agrees, otherwise the first mismatch.
+    when every cycle agrees, otherwise a message naming the first cycle that
+    does not, with both sets of pairs.
     """
     full_pairs = {(min(r.p, r.q), max(r.p, r.q)) for r in report.records}
     for index, cycle in enumerate(cycles):
@@ -410,7 +402,5 @@ def restriction_check(
             sorted((min(r.p, r.q), max(r.p, r.q)) for r in sub_report.records)
         )
         if expected != actual:
-            return RestrictionCounterexample(
-                cycle_index=index, expected=expected, actual=actual
-            )
+            return f"cycle {index}: expected pairs {expected}, re-simulated pairs {actual}"
     return None

@@ -345,9 +345,9 @@ def check_restriction(
 ) -> None:
     """Each cycle's requests, re-simulated alone, reproduce the run's edges inside it."""
     bipartite = report.policy.kind == HEMISPHERE_BIPARTITE
-    counter = restriction_check(instance, report, cycles)
+    mismatch = restriction_check(instance, report, cycles)
     tally.check("restriction_property_bipartite" if bipartite else "restriction_property").record(
-        counter is None, f"{label}: {counter}"
+        mismatch is None, f"{label}: {mismatch}"
     )
 
 

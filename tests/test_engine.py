@@ -403,20 +403,8 @@ def _assert_agrees_with_reference(inst, eps_values):
             assert _pairs(simulate(inst, policy)) == reference_simulate(inst, policy), policy
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_tie_dense_lattice_agrees_with_rescan_reference(seed):
-    _assert_agrees_with_reference(_lattice_instance(seed), (0.5, 1.0, 2.0))
-
-
 def _cascade(k, eta, bipartite):
     return gen_lower_bound(LowerBoundParams(k=k, epsilon=1.0, eta=eta), bipartite=bipartite)
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-@pytest.mark.parametrize("eta", [0.0, 1e-6])
-@pytest.mark.parametrize("bipartite", [False, True])
-def test_tie_dense_cascade_agrees_with_rescan_reference(k, eta, bipartite):
-    _assert_agrees_with_reference(_cascade(k, eta, bipartite), (1.0,))
 
 
 # simulate picks its event builder from the request count alone, and the
@@ -635,13 +623,13 @@ def test_tie_dense_array_run_of_512(monkeypatch, deadline):
 
 
 def _spy_batches(monkeypatch):
-    """Record (start, stop, pending positions) of every batch the engine builds."""
+    """Record the member positions of every batch the engine builds."""
     built = []
     batch_events = engine._batch_events
 
-    def spy(space, policy, loc, t, colors, pending, start, stop):
-        built.append((start, stop, pending.tolist()))
-        return batch_events(space, policy, loc, t, colors, pending, start, stop)
+    def spy(space, policy, loc, t, colors, members):
+        built.append(members.tolist())
+        return batch_events(space, policy, loc, t, colors, members)
 
     monkeypatch.setattr(engine, "_batch_events", spy)
     return built
@@ -670,7 +658,7 @@ def test_tie_cluster_reaching_a_later_arrival_builds_its_batch_first(
     assert pairs == reference_simulate(inst, policy)
     # The second batch takes in every arrival up to the bound of the first
     # batch's tie cluster, before any pair fires.
-    assert built == [(0, 2, []), (2, 8, [0, 1])]
+    assert built == [[0, 1], list(range(8))]
 
 
 def test_tie_cluster_over_several_batches(monkeypatch):
@@ -686,7 +674,8 @@ def test_tie_cluster_over_several_batches(monkeypatch):
     pairs = _pairs(simulate(inst, policy))
     assert pairs == reference_simulate(inst, policy)
     assert pairs[0] == (1, 20)
-    assert built == [(0, 1, []), (1, 2, [0]), (2, 8, [0, 1])]
+    # The third batch takes in every later arrival before any pair fires.
+    assert built == [[0], [0, 1], list(range(8))]
 
 
 @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
@@ -711,10 +700,12 @@ def test_unsorted_events_are_pulled_in_before_they_can_fire(metric, monkeypatch)
 
 
 @pytest.mark.parametrize("metric", ["line", "euclidean", "finite"])
-def test_every_request_at_once_peaks_near_two_copies_of_the_events(metric, deadline):
+def test_every_request_at_once_peaks_near_one_copy_of_the_events(metric, deadline):
     # With every request at t=0 one batch builds every pair.  An event takes
-    # 16 bytes, so the peak holds about two copies of all of them: the batch
-    # joined to the pool it is added to.
+    # 16 bytes, and the window's partition copies the times once more, so
+    # the peak is about 24 bytes per pair.  On the finite space's four points
+    # a quarter of the pairs lie at distance 0, one tie cluster that the
+    # window sorts whole, which takes a little more.
     m = 1024
     inst = gen_random(m, 1, metric=metric)
     inst = Instance(inst.space, tuple(req(r.id, r.location, 0.0) for r in inst.requests))
@@ -724,7 +715,7 @@ def test_every_request_at_once_peaks_near_two_copies_of_the_events(metric, deadl
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 34 * m * (m - 1) // 2
+    assert peak <= (30 if metric == "finite" else 26) * m * (m - 1) // 2
 
 
 def test_time_outlier_agrees_with_rescan_reference(builder):
@@ -814,24 +805,22 @@ def test_sorted_events_equal_scalar_firing_rule(seed, monkeypatch):
         expected = _scalar_events(policy, requests, inst.space, itertools.combinations(range(m), 2))
         assert times.tolist() == sorted(times.tolist())
         assert sorted(got) == expected
-        # The engine's batches: positions start..m-1 pair with each other and
-        # with the pending positions, all of them or every other one.
+        # The engine's batches: the pending positions, all of them or every
+        # other one, followed by positions start..m-1, pair with each other.
         colors = None
         if kind == HEMISPHERE_BIPARTITE:
             colors = np.array([r.color for r in requests], dtype=np.int8)
         for start, step in itertools.product((0, 1, m // 2), (1, 2)):
-            pending = np.arange(0, start, step, dtype=np.int32)
+            members = np.r_[0:start:step, start:m].astype(np.int32)
             times, early, late = engine._batch_events(
-                inst.space, policy, loc, arrival, colors, pending, start, m
+                inst.space, policy, loc, arrival, colors, members
             )
             assert early.dtype == late.dtype == np.int32
             got = sorted(
                 (t, requests[j].id, requests[i].id)
                 for t, i, j in zip(times.tolist(), early.tolist(), late.tolist())
             )
-            pairs = [
-                (i, j) for j in range(start, m) for i in pending.tolist() + list(range(start, j))
-            ]
+            pairs = itertools.combinations(members.tolist(), 2)
             assert got == _scalar_events(policy, requests, inst.space, pairs)
 
 

@@ -44,6 +44,15 @@ class TestEvalF:
         for k in (1, 2, 4, 8, 16, 64, 256, 512):
             assert table.value(2 * k) == 0.5 ** math.log2(k)
 
+    @pytest.mark.parametrize("gamma", [2.0001, 2.5, 3.1, 4.0, 1e3, 1e300])
+    def test_equals_the_literal_recurrence_bit_for_bit(self, gamma):
+        # The recurrence as written, every split i of every step: eval_f
+        # takes half the splits and must give the same doubles.
+        f = [0.0, 1.0]
+        for k in range(2, 513):
+            f.append(min(min(f[i], (f[i] + f[k - i]) / gamma) for i in range(1, k)))
+        assert [x.hex() for x in eval_f(1024, gamma).values] == [x.hex() for x in f[1:]]
+
     @pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0, 5.0])
     def test_lower_bound_and_monotonicity(self, gamma):
         assert_checks_pass(check_recurrence_table, gammas=(gamma,), k_max=128)

@@ -942,6 +942,16 @@ class TestRestriction:
         decomposition = cycle_decompose(alg, alg, inst)
         assert restriction_check(inst, report, decomposition) is None
 
+    def test_mismatch_names_the_cycle_and_both_pair_sets(self):
+        # The optimum's own 2-cycles are not the run's: alone, requests 1
+        # and 2 match each other, while the full run matched them elsewhere.
+        inst = gen_lower_bound(LowerBoundParams(k=2, epsilon=1.0))
+        report = simulate(inst, Policy(HEMISPHERE, 1.0))
+        opt = opt_general(inst)
+        assert restriction_check(inst, report, cycle_decompose(opt, opt, inst)) == (
+            "cycle 0: expected pairs ((1, 4), (2, 3)), re-simulated pairs ((1, 2),)"
+        )
+
 
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
